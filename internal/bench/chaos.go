@@ -104,17 +104,6 @@ func RunChaos(ctx context.Context, cfg report.Config, severities []float64) ([]C
 	return out, nil
 }
 
-// Chaos runs RunChaos over the canonical severity grid and prints the
-// degradation curve.
-func Chaos(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunChaos(ctx, cfg, []float64{0, 0.25, 0.5, 1})
-	if err != nil {
-		return err
-	}
-	printChaos(w, points)
-	return nil
-}
-
 func printChaos(w io.Writer, points []ChaosPoint) {
 	fmt.Fprintf(w, "%9s %6s %12s %9s %11s %8s %9s %7s %7s %8s\n",
 		"severity", "halts", "time (ms)", "slowdown", "energy (J)", "ratio", "linkrtry", "dmartry", "remaps", "conform")

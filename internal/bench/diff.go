@@ -37,6 +37,9 @@ type Finding struct {
 	Advisory bool
 }
 
+// String renders the finding as one report line: the leaf path, the old
+// and new values, the relative change for numeric leaves, and an
+// "(advisory)" tag when the leaf does not gate.
 func (f Finding) String() string {
 	tag := ""
 	if f.Advisory {

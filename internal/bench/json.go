@@ -1,23 +1,17 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-
-	"sarmany/internal/obs"
-	"sarmany/internal/report"
 )
 
 // Result is the machine-readable envelope around one experiment's data,
 // written as BENCH_<name>.json next to the human-readable table. Data
 // holds the experiment's point slice or result struct (every point type
 // in this package carries JSON tags); after a round trip through
-// Marshal/ReadResult it is a json.RawMessage instead, which DecodeData
-// turns back into the concrete type.
+// Marshal and RawResult (a sweep-cache replay) it is a json.RawMessage
+// instead, which DecodeData turns back into the concrete type.
 type Result struct {
 	Name  string `json:"name"`
 	Title string `json:"title,omitempty"`
@@ -88,283 +82,4 @@ func WriteFileRaw(dir, name string, b []byte) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// ReadResult reads an envelope written by WriteFile.
-func ReadResult(path string) (RawResult, error) {
-	var r RawResult
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	return r, json.Unmarshal(b, &r)
-}
-
-// GBPFFBPResult is the JSON form of the GBP-vs-FFBP comparison.
-type GBPFFBPResult struct {
-	GBPSeconds  float64 `json:"gbp_seconds"`
-	FFBPSeconds float64 `json:"ffbp_seconds"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// Keys lists the experiment selector keys Compute accepts, in the
-// canonical "-exp all" order.
-func Keys() []string {
-	return []string{"t1", "fig7", "scaling", "bw", "interp", "pipes", "gbp", "base", "rda", "upsample", "chaos", "kernels", "scale"}
-}
-
-// Compute runs the experiment selected by key (the cmd/benchtab -exp
-// names) and returns its machine-readable envelope without printing
-// anything. The single filesystem side effect is the Fig. 7 image set,
-// written into imgDir when key is "fig7" and imgDir is non-empty. The
-// context is threaded into the experiment and checked between simulation
-// units. When the context carries a request span (a traced sarserve
-// submission), the experiment is recorded as a "bench.<key>" child
-// span, so request traces show the simulation stage by name.
-func Compute(ctx context.Context, key string, cfg report.Config, imgDir string) (res Result, err error) {
-	if sp := obs.SpanFromContext(ctx).Child("bench." + key); sp != nil {
-		defer func() {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-		}()
-	}
-	switch key {
-	case "t1":
-		t, err := report.RunTable1(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "table1", Title: "Table I and energy ratios", Data: t}
-	case "fig7":
-		r, imgs, err := RunFigure7(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		if imgDir != "" {
-			if err := saveFig7(imgs, imgDir); err != nil {
-				return res, err
-			}
-		}
-		res = Result{Name: "fig7", Title: "Figure 7 quality metrics", Data: r}
-	case "scaling":
-		pts, err := RunScaling(ctx, cfg, []int{1, 2, 4, 8, 16, 32, 64})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "scaling", Title: "FFBP speedup vs core count", Data: pts}
-	case "bw":
-		pts, err := RunBandwidth(ctx, cfg, []float64{0.25, 0.5, 1, 2, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "bandwidth", Title: "Off-chip bandwidth sweep", Data: pts}
-	case "interp":
-		pts, err := RunInterp(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "interp", Title: "FFBP quality vs interpolation kernel", Data: pts}
-	case "pipes":
-		pts, err := RunPipelines(ctx, cfg, []int{1, 2, 3, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "pipelines", Title: "Autofocus pipeline replication", Data: pts}
-	case "gbp":
-		g, f, err := RunGBPvsFFBP(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "gbp_vs_ffbp", Title: "GBP vs FFBP complexity",
-			Data: GBPFFBPResult{GBPSeconds: g, FFBPSeconds: f, Speedup: g / f}}
-	case "base":
-		pts, err := RunBases(ctx, cfg, []int{2, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "bases", Title: "Factorization base ablation", Data: pts}
-	case "rda":
-		r, err := RunMotivation(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "motivation", Title: "Frequency vs time domain", Data: r}
-	case "upsample":
-		pts, err := RunUpsample(ctx, cfg, []int{1, 2, 4})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "upsample", Title: "Range oversampling ablation", Data: pts}
-	case "chaos":
-		pts, err := RunChaos(ctx, cfg, []float64{0, 0.25, 0.5, 1})
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "chaos", Title: "Fault-severity degradation sweep", Data: pts}
-	case "kernels":
-		r, err := RunKernels(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		res = Result{Name: "kernels", Title: "Fused kernel throughput", Data: r}
-	case "scale":
-		pts, err := RunScale(ctx, cfg)
-		if err != nil {
-			return res, err
-		}
-		// The scale sweep pins its own workload scale (see scale.go);
-		// record that, not the config's.
-		res = Result{Name: "scale", Title: "Manycore scale-up sweep",
-			Pulses: scalePulses, Bins: scaleBins, Data: pts}
-	default:
-		return res, fmt.Errorf("unknown experiment %q", key)
-	}
-	if res.Pulses == 0 {
-		res.Pulses = cfg.Params.NumPulses
-	}
-	if res.Bins == 0 {
-		res.Bins = cfg.Params.NumBins
-	}
-	res.Salt = EnvelopeSalt
-	res.Version = Version()
-	return res, nil
-}
-
-// DecodeData converts a raw envelope payload (as read back from a
-// BENCH_<name>.json file or the sweep cache) into the concrete data type
-// Compute produces for that envelope name.
-func DecodeData(name string, raw json.RawMessage) (any, error) {
-	decode := func(v any) (any, error) {
-		if err := json.Unmarshal(raw, v); err != nil {
-			return nil, fmt.Errorf("decode %s envelope: %w", name, err)
-		}
-		return v, nil
-	}
-	switch name {
-	case "table1":
-		return decode(&report.Table1{})
-	case "fig7":
-		return decode(&Fig7Result{})
-	case "scaling":
-		return decode(&[]ScalingPoint{})
-	case "bandwidth":
-		return decode(&[]BandwidthPoint{})
-	case "interp":
-		return decode(&[]InterpPoint{})
-	case "pipelines":
-		return decode(&[]PipelinePoint{})
-	case "gbp_vs_ffbp":
-		return decode(&GBPFFBPResult{})
-	case "bases":
-		return decode(&[]BasePoint{})
-	case "motivation":
-		return decode(&MotivationResult{})
-	case "upsample":
-		return decode(&[]UpsamplePoint{})
-	case "chaos":
-		return decode(&[]ChaosPoint{})
-	case "kernels":
-		return decode(&KernelsResult{})
-	case "scale":
-		return decode(&[]ScalePoint{})
-	}
-	return nil, fmt.Errorf("unknown envelope name %q", name)
-}
-
-// PrintResult renders the envelope's human-readable table to w. It
-// accepts both freshly computed envelopes (Data holds the concrete type)
-// and replayed ones (Data is a json.RawMessage from the sweep cache or a
-// result file).
-func PrintResult(w io.Writer, res Result) error {
-	if raw, ok := res.Data.(json.RawMessage); ok {
-		v, err := DecodeData(res.Name, raw)
-		if err != nil {
-			return err
-		}
-		res.Data = v
-	}
-	switch v := res.Data.(type) {
-	case *report.Table1:
-		_, err := io.WriteString(w, v.String())
-		return err
-	case Fig7Result:
-		printFig7(w, v)
-	case *Fig7Result:
-		printFig7(w, *v)
-	case []ScalingPoint:
-		printScaling(w, v)
-	case *[]ScalingPoint:
-		printScaling(w, *v)
-	case []BandwidthPoint:
-		printBandwidth(w, v)
-	case *[]BandwidthPoint:
-		printBandwidth(w, *v)
-	case []InterpPoint:
-		printInterp(w, v)
-	case *[]InterpPoint:
-		printInterp(w, *v)
-	case []PipelinePoint:
-		printPipelines(w, v)
-	case *[]PipelinePoint:
-		printPipelines(w, *v)
-	case GBPFFBPResult:
-		printGBPvsFFBP(w, v.GBPSeconds, v.FFBPSeconds)
-	case *GBPFFBPResult:
-		printGBPvsFFBP(w, v.GBPSeconds, v.FFBPSeconds)
-	case []BasePoint:
-		printBases(w, v)
-	case *[]BasePoint:
-		printBases(w, *v)
-	case MotivationResult:
-		printMotivation(w, v)
-	case *MotivationResult:
-		printMotivation(w, *v)
-	case []UpsamplePoint:
-		printUpsample(w, v)
-	case *[]UpsamplePoint:
-		printUpsample(w, *v)
-	case []ChaosPoint:
-		printChaos(w, v)
-	case *[]ChaosPoint:
-		printChaos(w, *v)
-	case KernelsResult:
-		printKernels(w, v)
-	case *KernelsResult:
-		printKernels(w, *v)
-	case []ScalePoint:
-		printScale(w, v)
-	case *[]ScalePoint:
-		printScale(w, *v)
-	default:
-		return fmt.Errorf("print %s envelope: unhandled data type %T", res.Name, res.Data)
-	}
-	return nil
-}
-
-// Experiment runs the experiment selected by key, prints its
-// human-readable table to w and, when jsonDir is non-empty, also writes
-// the machine-readable envelope to jsonDir/BENCH_<name>.json. Each
-// experiment computes exactly once; imgDir receives the fig7 image set.
-func Experiment(ctx context.Context, key string, w io.Writer, cfg report.Config, jsonDir, imgDir string) error {
-	res, err := Compute(ctx, key, cfg, imgDir)
-	if err != nil {
-		return err
-	}
-	if key == "fig7" && imgDir != "" {
-		fmt.Fprintf(w, "wrote %s\n", imgDir)
-	}
-	if err := PrintResult(w, res); err != nil {
-		return err
-	}
-	if jsonDir == "" {
-		return nil
-	}
-	path, err := WriteFile(jsonDir, res)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
-	return nil
 }

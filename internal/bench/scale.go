@@ -167,16 +167,6 @@ func RunScale(ctx context.Context, cfg report.Config) ([]ScalePoint, error) {
 	return runScale(ctx, defaultScaleWorkload(cfg), scaleTopos())
 }
 
-// Scale runs RunScale and prints the series.
-func Scale(ctx context.Context, w io.Writer, cfg report.Config) error {
-	points, err := RunScale(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	printScale(w, points)
-	return nil
-}
-
 func printScale(w io.Writer, points []ScalePoint) {
 	fmt.Fprintf(w, "%6s %6s %22s %11s %8s %9s %6s %11s %8s %9s %8s\n",
 		"cores", "chips", "mesh", "ffbp (ms)", "speedup", "J", "pipes", "af (ms)", "speedup", "J", "conform")

@@ -152,6 +152,42 @@ func TestWriteTraceEventEscapingGolden(t *testing.T) {
 	}
 }
 
+// TestWriteTraceEventControlCharacters: names carrying control
+// characters and invalid UTF-8 still produce valid JSON, and valid text
+// round-trips.
+func TestWriteTraceEventControlCharacters(t *testing.T) {
+	tr := NewTracer(1e9)
+	tr.NameProcess(0, "chip\x01\x1f\x7f <&>")
+	tr.NewTrack(0, 1, "core\x00\xff").Span(KindCompute, 0, 10)
+
+	var buf bytes.Buffer
+	if err := tr.WriteTraceEvent(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("output is not valid JSON:\n%q", buf.String())
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.TraceEvents[0].Args.Name; got != "chip\x01\x1f\x7f <&>" {
+		t.Errorf("process name = %q", got)
+	}
+	if got := doc.TraceEvents[1].Args.Name; got != "core\x00\ufffd" {
+		t.Errorf("thread name = %q, want invalid UTF-8 replaced by U+FFFD", got)
+	}
+	if strings.Contains(buf.String(), `\u003c`) {
+		t.Errorf("output is HTML-escaped: %s", buf.String())
+	}
+}
+
 func TestWriteTimelineDroppedWarning(t *testing.T) {
 	tr := NewTracer(1e9)
 	tr.SetCapacity(2)

@@ -508,25 +508,14 @@ func (d TraceDoc) WriteTree(w io.Writer) error {
 }
 
 // WriteTraceEvent writes the request trace in the Chrome trace_event
-// JSON format understood by Perfetto, mirroring Tracer.WriteTraceEvent
-// for the wall-clock domain: one process named after the trace ID, one
-// complete ("ph":"X") event per span with microsecond timestamps
-// relative to the earliest span, and attributes in args.
+// JSON format understood by Perfetto, with the same encoder as
+// Tracer.WriteTraceEvent but in the wall-clock domain: one process named
+// after the trace ID, one complete ("ph":"X") event per span with
+// microsecond timestamps relative to the earliest span, and attributes
+// in args.
 func (d TraceDoc) WriteTraceEvent(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-	emit(fmt.Sprintf(`{"ph":"M","pid":1,"name":"process_name","args":{"name":%q}}`,
-		"trace "+d.TraceID))
+	ew := newTraceEventWriter(w)
+	ew.metadata(1, -1, "trace "+d.TraceID)
 	var t0 int64
 	for i, s := range d.Spans {
 		if i == 0 || s.StartUnixNs < t0 {
@@ -534,17 +523,16 @@ func (d TraceDoc) WriteTraceEvent(w io.Writer) error {
 		}
 	}
 	for _, s := range d.Spans {
-		args := fmt.Sprintf(`{"span":%q,"parent":%q`, s.ID, s.Parent)
-		for _, kv := range s.sortedAttrs() {
-			k, v, _ := strings.Cut(kv, "=")
-			args += fmt.Sprintf(`,%q:%q`, k, v)
+		keys := make([]string, 0, len(s.Attrs))
+		for k := range s.Attrs {
+			keys = append(keys, k)
 		}
-		args += "}"
-		emit(fmt.Sprintf(`{"ph":"X","pid":1,"tid":1,"cat":"request","name":%q,"ts":%.3f,"dur":%.3f,"args":%s}`,
-			s.Name, float64(s.StartUnixNs-t0)/1e3, float64(s.DurNs)/1e3, args))
+		sort.Strings(keys)
+		args := []string{"span", s.ID, "parent", s.Parent}
+		for _, k := range keys {
+			args = append(args, k, s.Attrs[k])
+		}
+		ew.complete(1, 1, "request", s.Name, float64(s.StartUnixNs-t0)/1e3, float64(s.DurNs)/1e3, args...)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return ew.close()
 }

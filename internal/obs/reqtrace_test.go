@@ -293,6 +293,38 @@ func TestAttachSim(t *testing.T) {
 	}
 }
 
+// TestTraceDocWriteTraceEventControlCharacters: a client-sent attribute
+// such as a tenant of "a\x01b" still yields valid, round-tripping JSON.
+func TestTraceDocWriteTraceEventControlCharacters(t *testing.T) {
+	doc := TraceDoc{TraceID: "trace\x02", Spans: []TraceSpan{{
+		ID: "01", Name: "request\n\x1b[0m", DurNs: 1000,
+		Attrs: map[string]string{"tenant": "a\x01b", "k=\"v\"": "\\"},
+	}}}
+	var sb strings.Builder
+	if err := doc.WriteTraceEvent(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid([]byte(sb.String())) {
+		t.Fatalf("invalid trace_event JSON:\n%q", sb.String())
+	}
+	var parsed struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	if got := parsed.TraceEvents[0].Args["name"]; got != "trace trace\x02" {
+		t.Errorf("process name = %q", got)
+	}
+	ev := parsed.TraceEvents[1]
+	if ev.Name != "request\n\x1b[0m" || ev.Args["tenant"] != "a\x01b" || ev.Args["k=\"v\""] != "\\" {
+		t.Errorf("span event did not round-trip: %+v", ev)
+	}
+}
+
 func TestTraceDocWriteTraceEvent(t *testing.T) {
 	tr := NewReqTrace(TraceID{8})
 	root := tr.StartSpan("request")

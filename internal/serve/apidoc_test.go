@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sarmany/internal/bench"
 )
 
 // curlExample is one executable example parsed out of docs/API.md.
@@ -22,6 +24,26 @@ type curlExample struct {
 	url        string // path + query, host stripped
 	body       string
 	wantStatus int
+}
+
+// documentedKeys returns the experiment keys the job-model paragraph
+// lists: the backquoted words between "key:" and the closing parenthesis.
+func documentedKeys(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(raw), "`cmd/benchtab` key:")
+	list, _, ok2 := strings.Cut(list, ")")
+	if !ok || !ok2 {
+		t.Fatal("docs/API.md: no \"`cmd/benchtab` key: ...)\" experiment list")
+	}
+	var keys []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(list, -1) {
+		keys = append(keys, m[1])
+	}
+	return keys
 }
 
 // docStatusRe matches the "# -> NNN" expected-status annotation every
@@ -108,7 +130,11 @@ func tokenize(line string) []string {
 // codes. $JOB is substituted with the ID from the most recent
 // successful submission, exactly as the doc promises.
 func TestAPIDocExamples(t *testing.T) {
-	examples := parseCurlExamples(t, filepath.Join("..", "..", "docs", "API.md"))
+	doc := filepath.Join("..", "..", "docs", "API.md")
+	if got, want := documentedKeys(t, doc), bench.Keys(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("docs/API.md lists experiment keys %v, the server accepts %v", got, want)
+	}
+	examples := parseCurlExamples(t, doc)
 	if len(examples) < 10 {
 		t.Fatalf("parsed only %d curl examples from docs/API.md, want the full set", len(examples))
 	}

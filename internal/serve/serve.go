@@ -46,7 +46,7 @@ import (
 type JobSpec struct {
 	// Exp selects the workload — any cmd/benchtab experiment key
 	// (bench.Keys lists them: t1, fig7, scaling, bw, interp, pipes, gbp,
-	// base, rda, upsample, chaos).
+	// base, rda, upsample, chaos, kernels, scale).
 	Exp string `json:"exp"`
 	// Scale is "small" (reduced, default) or "paper" (full paper scale).
 	Scale string `json:"scale,omitempty"`
@@ -665,12 +665,8 @@ func (s *Server) recordDrain(drainErr error) {
 
 // knownExp reports whether exp is a built-in benchmark experiment key.
 func knownExp(exp string) bool {
-	for _, k := range bench.Keys() {
-		if k == exp {
-			return true
-		}
-	}
-	return false
+	_, ok := bench.Lookup(exp)
+	return ok
 }
 
 // tenantOf resolves the spec's quota bucket name.

@@ -145,12 +145,17 @@ func TestServerIdempotentResubmit(t *testing.T) {
 // 429 with Retry-After, quota exhaustion 429 per tenant.
 func TestServerAdmissionErrors(t *testing.T) {
 	release := make(chan struct{})
+	started := make(chan struct{}, 1)
 	var execs atomic.Int64
 	s := NewServer(Options{
 		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond, QueueLimit: 1,
 		Quota: QuotaConfig{JobsPerSec: 0.001, Burst: 2},
 		Run: func(ctx context.Context, j sweep.Job) (bench.Result, error) {
 			execs.Add(1)
+			select {
+			case started <- struct{}{}:
+			default:
+			}
 			<-release
 			return bench.Result{Name: "stub", Data: struct{}{}}, nil
 		},
@@ -196,6 +201,13 @@ func TestServerAdmissionErrors(t *testing.T) {
 	}
 	// Another tenant still has its own budget (but hits the full queue,
 	// which is checked after quota — so spend the bucket down instead).
+	// The first job reaches the runner on the batcher's flush goroutine,
+	// possibly after the submissions above returned: wait for it.
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first job never reached the runner")
+	}
 	if got := execs.Load(); got != 1 {
 		t.Errorf("executions = %d, want 1 (only the first job ran)", got)
 	}

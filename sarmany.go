@@ -5,6 +5,7 @@ package sarmany
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"time"
 
@@ -358,7 +359,12 @@ func RunFigure7(cfg ExperimentConfig) (Fig7Metrics, [4]*Image, error) {
 // WriteFigure7 writes the Fig. 7 images as PNGs into dir and the metrics
 // to w.
 func WriteFigure7(w io.Writer, cfg ExperimentConfig, dir string) error {
-	return bench.Figure7(context.Background(), w, cfg, dir)
+	res, err := bench.Compute(context.Background(), "fig7", cfg, dir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", dir)
+	return bench.PrintResult(w, res)
 }
 
 // Concurrent experiment sweeps.

@@ -3,8 +3,8 @@
 # need "// Package <name> ..." above the package clause, commands under
 # cmd/ need a comment block directly above "package main" (the godoc
 # synopsis for the binary). Packages whose exported surface is a public
-# contract (internal/serve) additionally require a doc comment on every
-# exported identifier, via scripts/checkexported. Run via `make
+# contract (internal/serve, internal/bench) additionally require a doc
+# comment on every exported identifier, via scripts/checkexported. Run via `make
 # docscheck`; part of `make check`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,7 +48,8 @@ if [ -n "$missing" ] || [ -n "$cmd_missing" ]; then
 	exit 1
 fi
 
-# Exported-identifier coverage for the serving layer's public surface.
-go run ./scripts/checkexported internal/serve
+# Exported-identifier coverage for the public surfaces: the serving
+# layer and the experiment table and envelope layer.
+go run ./scripts/checkexported internal/serve internal/bench
 
 echo "checkdocs: all packages and exported identifiers documented"
