@@ -42,10 +42,12 @@ chaos:
 		./internal/emu ./internal/kernels ./internal/conform \
 		./cmd/epirun ./cmd/sarprof
 
-# fuzzsmoke gives the fault-plan parser fuzzer a short budget on top of
-# replaying its committed corpus.
+# fuzzsmoke gives the fault-plan parser and the traceparent header
+# parser fuzzers a short budget each, on top of replaying their committed
+# corpora.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
 
 # conform runs the simulator conformance harness under the race detector:
 # the invariant checker over real kernel runs, the analytic differential

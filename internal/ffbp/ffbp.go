@@ -43,7 +43,9 @@ type Config struct {
 }
 
 // Stage holds the state of the factorization after some number of merges:
-// one polar image (and its grid) per remaining subaperture.
+// one polar image (and its grid) per remaining subaperture. Each image is
+// compact (Stride == Cols) and shaped like its grid (NTheta x NR), as
+// InitialStage and Merge produce them; Merge rejects any other.
 type Stage struct {
 	Apertures []geom.Aperture
 	Grids     []geom.PolarGrid
@@ -103,10 +105,18 @@ func Merge(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
 }
 
 // merge is the shared merge-iteration driver: grid/image setup and the
-// flattened (parent, beam) fan-out, parameterized by the beam kernel.
-func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift)) (*Stage, error) {
+// flattened (parent, beam) fan-out, parameterized by the beam kernel. Each
+// worker hands the kernel its own scratch of 2*NR tap offsets.
+func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, taps []int32)) (*Stage, error) {
 	if len(s.Images)%2 != 0 {
 		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures", len(s.Images))
+	}
+	for i, img := range s.Images {
+		g := s.Grids[i]
+		if img.Rows != g.NTheta || img.Cols != g.NR || img.Stride != img.Cols {
+			return nil, fmt.Errorf("ffbp: subaperture %d image is %dx%d (stride %d), grid is %dx%d",
+				i, img.Rows, img.Cols, img.Stride, g.NTheta, g.NR)
+		}
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -137,6 +147,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 		wg.Add(1)
 		go func(sl mat.Slice) {
 			defer wg.Done()
+			taps := make([]int32, 2*nr)
 			for gb := sl.Lo; gb < sl.Hi; gb++ {
 				j := gb / ntheta
 				bt := gb % ntheta
@@ -144,7 +155,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 				if cfg.comps != nil {
 					comp = cfg.comps[j]
 				}
-				beam(s, out, j, bt, cfg.Interp, comp)
+				beam(s, out, j, bt, cfg.Interp, comp, taps)
 			}
 		}(sl)
 	}
@@ -155,18 +166,18 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 // mergeBeam computes beam bt of parent j: the element combining of paper
 // eq. 5 along one output beam. comp displaces the plus child's sampling
 // positions (in pixels) — the flight-path compensation of the autofocused
-// merge; the zero Shift reproduces the plain merge.
+// merge; the zero Shift reproduces the plain merge. taps is the calling
+// worker's scratch of 2*NR tap offsets for the nearest-neighbour path.
 //
 // This is the fused hot path, bit-identical to mergeBeamRef (pinned by
 // TestFusedMergeBitIdentical): the per-beam cos/sin of the parent angle is
 // hoisted out of geom.ChildCoords — theta is constant along the beam, so
 // the two calls per pixel collapse to two multiplies — and the paper's
-// nearest-neighbour sampling of both children is inlined, eliminating the
-// two interp.At2 calls per pixel. Every retained operation (hypot, atan2,
-// the index divisions, the rounding) is exactly the reference's, which is
-// what keeps the simulator kernels (internal/kernels) bit-identical to
-// ffbp.Image.
-func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift) {
+// nearest-neighbour sampling of both children runs through NearestTaps
+// plus a gather, eliminating the two interp.At2 calls per pixel. Every
+// retained operation (hypot, atan2, the index divisions, the rounding) is
+// exactly the reference's.
+func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, taps []int32) {
 	pg := out.Grids[j]
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]
@@ -174,41 +185,25 @@ func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift)
 	theta := pg.Theta(bt)
 	row := out.Images[j].Row(bt)
 
-	// Hoisted from geom.ChildCoords: x = r*cos(theta), y = r*sin(theta)
-	// with theta fixed along the beam, origin shifted ∓l/2 along track.
-	ct, st := math.Cos(theta), math.Sin(theta)
-	h := l / 2
-
 	if kind == interp.Nearest {
-		rows0, cols0 := img0.Rows, img0.Cols
-		rows1, cols1 := img1.Rows, img1.Cols
-		for bi := 0; bi < pg.NR; bi++ {
-			r := pg.Range(bi)
-			x := r * ct
-			y := r * st
-			xp, xm := x+h, x-h
-			r1 := math.Hypot(xp, y)
-			th1 := math.Atan2(y, xp)
-			r2 := math.Hypot(xm, y)
-			th2 := math.Atan2(y, xm)
-			// Inlined interp.At2 Nearest on each child: round both
-			// fractional indices, in-range sample or zero.
-			var v1 complex64
-			rr := int(math.Round((th1 - g0.Theta0) / g0.DTheta))
-			cc := int(math.Round((r1 - g0.R0) / g0.DR))
-			if uint(rr) < uint(rows0) && uint(cc) < uint(cols0) {
-				v1 = img0.At(rr, cc)
+		o0, o1 := taps[:pg.NR], taps[pg.NR:2*pg.NR]
+		NearestTaps(pg, g0, g1, l, theta, comp, o0, o1)
+		for bi := range row {
+			var v1, v2 complex64
+			if o := o0[bi]; o >= 0 {
+				v1 = img0.Data[o]
 			}
-			var v2 complex64
-			rr = int(math.Round((th2-g1.Theta0)/g1.DTheta + comp.DBeam))
-			cc = int(math.Round((r2-g1.R0)/g1.DR + comp.DRange))
-			if uint(rr) < uint(rows1) && uint(cc) < uint(cols1) {
-				v2 = img1.At(rr, cc)
+			if o := o1[bi]; o >= 0 {
+				v2 = img1.Data[o]
 			}
 			row[bi] = v1 + v2
 		}
 		return
 	}
+	// Hoisted from geom.ChildCoords: x = r*cos(theta), y = r*sin(theta)
+	// with theta fixed along the beam, origin shifted ∓l/2 along track.
+	ct, st := math.Cos(theta), math.Sin(theta)
+	h := l / 2
 	for bi := 0; bi < pg.NR; bi++ {
 		r := pg.Range(bi)
 		x := r * ct
@@ -224,10 +219,55 @@ func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift)
 	}
 }
 
+// NearestTaps computes the nearest-neighbour child taps of one parent
+// beam: the merge geometry of paper eqs. 1-4 for every range bin of the
+// beam at angle theta on parent grid pg, rounded onto the minus child's
+// grid g0 and the plus child's grid g1 (children of length l). For range
+// bin bi it writes o0[bi] and o1[bi], each child's element offset
+// ti*NR+ri in its compact row-major image, or -1 when the tap falls
+// outside that child's grid. comp displaces the plus child's taps (in
+// pixels); the zero Shift gives the plain merge.
+//
+// It is the one implementation of the merge geometry: Merge gathers from
+// these taps, and the simulated kernels (internal/kernels) charge their
+// machines for them. The cos/sin of theta are hoisted out of
+// geom.ChildCoords, and every other operation is the reference's, so the
+// taps are exactly those of geom.ChildCoords, PolarGrid.ThetaIndex and
+// RangeIndex, math.Round and a bounds test.
+func NearestTaps(pg, g0, g1 geom.PolarGrid, l, theta float64, comp autofocus.Shift, o0, o1 []int32) {
+	// Hoisted from geom.ChildCoords: x = r*cos(theta), y = r*sin(theta)
+	// with theta fixed along the beam, origin shifted ∓l/2 along track.
+	ct, st := math.Cos(theta), math.Sin(theta)
+	h := l / 2
+	o0, o1 = o0[:pg.NR], o1[:pg.NR]
+	for bi := range o0 {
+		r := pg.Range(bi)
+		x := r * ct
+		y := r * st
+		xp, xm := x+h, x-h
+		r1 := math.Hypot(xp, y)
+		th1 := math.Atan2(y, xp)
+		r2 := math.Hypot(xm, y)
+		th2 := math.Atan2(y, xm)
+		o0[bi] = -1
+		rr := int(math.Round((th1 - g0.Theta0) / g0.DTheta))
+		cc := int(math.Round((r1 - g0.R0) / g0.DR))
+		if uint(rr) < uint(g0.NTheta) && uint(cc) < uint(g0.NR) {
+			o0[bi] = int32(rr*g0.NR + cc)
+		}
+		o1[bi] = -1
+		rr = int(math.Round((th2-g1.Theta0)/g1.DTheta + comp.DBeam))
+		cc = int(math.Round((r2-g1.R0)/g1.DR + comp.DRange))
+		if uint(rr) < uint(g1.NTheta) && uint(cc) < uint(g1.NR) {
+			o1[bi] = int32(rr*g1.NR + cc)
+		}
+	}
+}
+
 // mergeBeamRef is the retained unfused reference for mergeBeam: per-pixel
 // geom.ChildCoords and interp.At2 calls, the literal transcription of
 // paper eq. 5. The fused path is pinned bit-identical to it.
-func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift) {
+func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, _ []int32) {
 	pg := out.Grids[j]
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]

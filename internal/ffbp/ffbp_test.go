@@ -258,3 +258,24 @@ func BenchmarkImage256(b *testing.B) {
 		}
 	}
 }
+
+// TestMergeRejectsMisshapenImages: Merge gathers from compact images
+// shaped like their grids, so it refuses a strided view or an image whose
+// shape disagrees with its grid instead of reading the wrong pixels.
+func TestMergeRejectsMisshapenImages(t *testing.T) {
+	g := geom.PolarGrid{NR: 4, NTheta: 1, DR: 1, DTheta: 1}
+	for name, img := range map[string]*mat.C{
+		"strided view": mat.NewC(2, 8).View(0, 0, 1, 4),
+		"wrong shape":  mat.NewC(2, 4),
+	} {
+		s := &Stage{
+			Apertures: make([]geom.Aperture, 2),
+			Grids:     []geom.PolarGrid{g, g},
+			Images:    []*mat.C{mat.NewC(1, 4), img},
+		}
+		if _, err := Merge(s, geom.SceneBox{}, Config{}); err == nil {
+			t.Errorf("%s: Merge accepted a %dx%d image with stride %d on a 1x4 grid",
+				name, img.Rows, img.Cols, img.Stride)
+		}
+	}
+}

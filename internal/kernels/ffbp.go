@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"sarmany/internal/autofocus"
 	"sarmany/internal/emu"
+	"sarmany/internal/ffbp"
 	"sarmany/internal/geom"
 	"sarmany/internal/machine"
 	"sarmany/internal/mat"
@@ -69,33 +71,99 @@ func (pl *ffbpPlan) stage0Pixel(m machine.Machine, v complex64, c int) complex64
 	return cmul(m, v, expi(m, float32(pl.k*r)))
 }
 
-// mergePixel computes (and charges) one element-combining output (paper
-// eq. 5) for merge s (children at stage s): parent j, beam angle theta,
-// range bin bi. Child samples are fetched through sample, which lets the
-// caller choose local-bank or external storage.
-func (pl *ffbpPlan) mergePixel(m machine.Machine, s, j int, theta float64, bi int,
-	sample func(child int, g geom.PolarGrid, r, th float64) complex64) complex64 {
+// beamTaps computes the nearest-neighbour child taps of beam bt of parent j
+// in merge s (children at stage s) into o0 and o1, through the same
+// ffbp.NearestTaps that ffbp.Merge gathers from.
+func (pl *ffbpPlan) beamTaps(s, j, bt int, o0, o1 []int32) {
 	pg := pl.grids[s+1][j]
+	ffbp.NearestTaps(pg, pl.grids[s][2*j], pl.grids[s][2*j+1], pl.stages[s][2*j].Length,
+		pg.Theta(bt), autofocus.Shift{}, o0, o1)
+}
+
+// tapPair is one merge beam's child taps, as written by beamTaps.
+type tapPair struct{ o0, o1 []int32 }
+
+// tapRing is the number of beams SeqFFBP's tap producer may run ahead of
+// the loop that charges them.
+const tapRing = 4
+
+// produceTaps computes the taps of every merge beam in SeqFFBP's (stage,
+// parent, beam) order: it takes an empty pair from free, fills it and
+// passes it on through ready. It returns when every beam is done or once
+// done is closed.
+func (pl *ffbpPlan) produceTaps(free <-chan *tapPair, ready chan<- *tapPair, done <-chan struct{}) {
+	for s := 0; s < pl.numMerges(); s++ {
+		for j, pg := range pl.grids[s+1] {
+			for bt := 0; bt < pg.NTheta; bt++ {
+				var t *tapPair
+				select {
+				case t = <-free:
+				case <-done:
+					return
+				}
+				pl.beamTaps(s, j, bt, t.o0, t.o1)
+				ready <- t // never blocks: ready holds the whole ring
+			}
+		}
+	}
+}
+
+// mergeTaps charges and computes one element-combining output (paper eq.
+// 5) from its child taps o0 and o1 (ffbp.NearestTaps; -1 when out of
+// range), the minus child's image held at element base0 of img0 and the
+// plus child's at base1 of img1. The charges are the paper's per-pixel
+// index generation: the range bin, then the cosine-theorem geometry of
+// eqs. 1-4 — two fused multiply-add chains and square roots for the
+// ranges (with the paper's fast software square root) and a divide plus
+// inverse-cosine each for the angles; chargeBeamSetup charges the hoisted
+// per-beam trigonometry.
+func mergeTaps(m machine.Machine, img0 *machine.BufC, base0 int, o0 int32,
+	img1 *machine.BufC, base1 int, o1 int32) complex64 {
 	m.FMA(1) // r = R0 + bi*DR
-	r := pg.Range(bi)
-	l := pl.stages[s][2*j].Length
-	r1, th1, r2, th2 := childCoords(m, r, theta, l)
-	g0 := pl.grids[s][2*j]
-	g1 := pl.grids[s][2*j+1]
-	v1 := sample(0, g0, r1, th1)
-	v2 := sample(1, g1, r2, th2)
+	m.FMA(10)
+	m.Sqrt(2)
+	m.Div(2)
+	m.Trig(2)
+	v1 := loadTap(m, img0, base0, o0)
+	v2 := loadTap(m, img1, base1, o1)
 	return cadd(m, v1, v2)
 }
 
-// extract copies a packed stage buffer's single remaining image into a
-// mat.C (rows = beams).
+// loadTap performs the nearest-neighbour lookup of one child sample at tap
+// o: index generation from the (range, angle) coordinates, the
+// out-of-range test (the paper's "skip the additions with zero when the
+// indices are out of range"), and the 64-bit load of an in-range pixel at
+// element base+o of img.
+func loadTap(m machine.Machine, img *machine.BufC, base int, o int32) complex64 {
+	m.FMA(2)  // two fractional index computations
+	m.Flop(2) // two rounds
+	m.IOp(4)  // bounds tests and address arithmetic
+	if o < 0 {
+		return 0
+	}
+	return img.Load(m, base+int(o))
+}
+
+// bindData places the radar data at a fresh address range of mem. The
+// buffer holds the caller's storage itself when data is compact, and a
+// compact copy of a strided view otherwise; the kernels only read it.
+func bindData(mem machine.Alloc, data *mat.C) (*machine.BufC, error) {
+	n := data.Rows * data.Cols
+	addr, err := mem.Alloc(8 * n)
+	if err != nil {
+		return nil, err
+	}
+	if data.Stride != data.Cols {
+		data = data.Clone()
+	}
+	return &machine.BufC{Addr: addr, Data: data.Data[:n]}, nil
+}
+
+// extract returns a packed stage buffer's single remaining image as a
+// mat.C (rows = beams) sharing the buffer's storage.
 func (pl *ffbpPlan) extract(buf *machine.BufC) *mat.C {
 	nb := pl.p.NumBins
-	img := mat.NewC(pl.p.NumPulses, nb)
-	for bt := 0; bt < pl.p.NumPulses; bt++ {
-		copy(img.Row(bt), buf.Data[bt*nb:(bt+1)*nb])
-	}
-	return img
+	return &mat.C{Rows: pl.p.NumPulses, Cols: nb, Stride: nb, Data: buf.Data}
 }
 
 // SeqFFBP runs the complete fast factorized back-projection sequentially
@@ -110,7 +178,7 @@ func SeqFFBP(m machine.Machine, mem machine.Alloc, data *mat.C, p sar.Params, bo
 		return nil, geom.PolarGrid{}, err
 	}
 	total := p.NumPulses * p.NumBins
-	dataBuf, err := machine.NewBufC(mem, total)
+	dataBuf, err := bindData(mem, data)
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
 	}
@@ -122,36 +190,47 @@ func SeqFFBP(m machine.Machine, mem machine.Alloc, data *mat.C, p sar.Params, bo
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
 	}
-	for i := 0; i < p.NumPulses; i++ {
-		copy(dataBuf.Data[i*p.NumBins:(i+1)*p.NumBins], data.Row(i))
+
+	// The merge taps depend only on the geometry, so a producer computes
+	// them ahead of the charging loop, overlapping stage 0 too. It stops
+	// with this call, even when m panics mid-merge.
+	nb := p.NumBins
+	free := make(chan *tapPair, tapRing)
+	ready := make(chan *tapPair, tapRing)
+	for i := 0; i < tapRing; i++ {
+		free <- &tapPair{make([]int32, nb), make([]int32, nb)}
 	}
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		pl.produceTaps(free, ready, done)
+	}()
+	defer func() {
+		close(done)
+		<-exited
+	}()
 
 	// Stage 0: carrier removal.
 	for i := 0; i < p.NumPulses; i++ {
-		for c := 0; c < p.NumBins; c++ {
+		for c := 0; c < nb; c++ {
 			m.IOp(2)
-			v := dataBuf.Load(m, i*p.NumBins+c)
-			cur.Store(m, i*p.NumBins+c, pl.stage0Pixel(m, v, c))
+			v := dataBuf.Load(m, i*nb+c)
+			cur.Store(m, i*nb+c, pl.stage0Pixel(m, v, c))
 		}
 	}
 
 	// Merge iterations.
-	nb := p.NumBins
 	for s := 0; s < pl.numMerges(); s++ {
-		parents := pl.stages[s+1]
-		ntheta := pl.grids[s+1][0].NTheta
-		for j := range parents {
-			for bt := 0; bt < ntheta; bt++ {
+		for j, pg := range pl.grids[s+1] {
+			base0, base1 := pl.imageOff(s, 2*j), pl.imageOff(s, 2*j+1)
+			for bt := 0; bt < pg.NTheta; bt++ {
 				chargeBeamSetup(m)
-				theta := pl.grids[s+1][j].Theta(bt)
+				t := <-ready
 				outBase := pl.imageOff(s+1, j) + bt*nb
 				for bi := 0; bi < nb; bi++ {
-					v := pl.mergePixel(m, s, j, theta, bi,
-						func(child int, g geom.PolarGrid, r, th float64) complex64 {
-							return sampleNN(m, cur, pl.imageOff(s, 2*j+child), g, r, th)
-						})
-					next.Store(m, outBase+bi, v)
+					next.Store(m, outBase+bi, mergeTaps(m, cur, base0, t.o0[bi], cur, base1, t.o1[bi]))
 				}
+				free <- t
 			}
 		}
 		cur, next = next, cur
@@ -197,7 +276,7 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 			p.NumBins, ch.P.BankBytes)
 	}
 	total := p.NumPulses * p.NumBins
-	dataBuf, err := machine.NewBufC(ch.Ext(), total)
+	dataBuf, err := bindData(ch.Ext(), data)
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
 	}
@@ -208,9 +287,6 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 	next, err := machine.NewBufC(ch.Ext(), total)
 	if err != nil {
 		return nil, geom.PolarGrid{}, err
-	}
-	for i := 0; i < p.NumPulses; i++ {
-		copy(dataBuf.Data[i*p.NumBins:(i+1)*p.NumBins], data.Row(i))
 	}
 
 	nb := p.NumBins
@@ -229,6 +305,8 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 			kernelErr = fmt.Errorf("kernels: local bank allocation failed")
 			return
 		}
+		// Host scratch for one beam's child taps, computed inline.
+		o0, o1 := make([]int32, nb), make([]int32, nb)
 
 		// Stage 0: each slot carrier-removes its slice of pulses, double-
 		// buffering the DMA prefetch across the two banks.
@@ -268,17 +346,12 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 				d1 := c.DMACopyC(bankB, 0, cur, pl.imageOff(0, 2*j+1), nb)
 				c.DMAWait(d0)
 				c.DMAWait(d1)
-				locals := [2]*machine.BufC{bankA, bankB}
 				for bt := 0; bt < 2; bt++ {
 					chargeBeamSetup(c)
-					theta := pl.grids[1][j].Theta(bt)
+					pl.beamTaps(s, j, bt, o0, o1)
 					outBase := pl.imageOff(1, j) + bt*nb
 					for bi := 0; bi < nb; bi++ {
-						v := pl.mergePixel(c, s, j, theta, bi,
-							func(child int, g geom.PolarGrid, r, th float64) complex64 {
-								return sampleNN(c, locals[child], 0, g, r, th)
-							})
-						next.Store(c, outBase+bi, v)
+						next.Store(c, outBase+bi, mergeTaps(c, bankA, 0, o0[bi], bankB, 0, o1[bi]))
 					}
 				}
 			}
@@ -297,14 +370,11 @@ func ParFFBP(ch *emu.Chip, nCores int, data *mat.C, p sar.Params, box geom.Scene
 					j := u / ntheta
 					bt := u % ntheta
 					chargeBeamSetup(c)
-					theta := pl.grids[s+1][j].Theta(bt)
+					pl.beamTaps(s, j, bt, o0, o1)
+					base0, base1 := pl.imageOff(s, 2*j), pl.imageOff(s, 2*j+1)
 					outBase := pl.imageOff(s+1, j) + bt*nb
 					for bi := 0; bi < nb; bi++ {
-						v := pl.mergePixel(c, s, j, theta, bi,
-							func(child int, g geom.PolarGrid, r, th float64) complex64 {
-								return sampleNN(c, curL, pl.imageOff(s, 2*j+child), g, r, th)
-							})
-						nextL.Store(c, outBase+bi, v)
+						nextL.Store(c, outBase+bi, mergeTaps(c, curL, base0, o0[bi], curL, base1, o1[bi]))
 					}
 				}
 			}

@@ -17,7 +17,6 @@ package kernels
 import (
 	"math"
 
-	"sarmany/internal/geom"
 	"sarmany/internal/interp"
 	"sarmany/internal/machine"
 )
@@ -30,39 +29,6 @@ func chargeBeamSetup(m machine.Machine) {
 	m.Trig(2) // sin(theta), cos(theta)
 	m.FMA(4)  // beam angle, x/y step constants
 	m.IOp(4)  // row pointers
-}
-
-// childCoords evaluates paper eqs. 1-4 for one output pixel and charges
-// the per-pixel cost of the cosine-theorem index generation: two fused
-// multiply-add chains and square roots for the ranges (eqs. 1-2, with the
-// paper's fast software square root), and a divide plus inverse-cosine
-// each for the angles (eqs. 3-4). The per-beam trigonometry is hoisted by
-// chargeBeamSetup.
-func childCoords(m machine.Machine, r, theta, l float64) (r1, th1, r2, th2 float64) {
-	m.FMA(10)
-	m.Sqrt(2)
-	m.Div(2)
-	m.Trig(2)
-	return geom.ChildCoords(r, theta, l)
-}
-
-// sampleNN performs the nearest-neighbour interpolation lookup of one
-// child-subaperture sample: index generation from the (range, angle)
-// coordinates, the out-of-range test (the paper's "skip the additions with
-// zero when the indices are out of range"), and the 64-bit load of the
-// complex pixel. img holds the child image row-major on grid g, starting
-// at element base. The arithmetic matches interp.At2(..., interp.Nearest)
-// exactly.
-func sampleNN(m machine.Machine, img *machine.BufC, base int, g geom.PolarGrid, r, th float64) complex64 {
-	m.FMA(2)  // two fractional index computations
-	m.Flop(2) // two rounds
-	m.IOp(4)  // bounds tests and address arithmetic
-	ti := int(math.Round(g.ThetaIndex(th)))
-	ri := int(math.Round(g.RangeIndex(r)))
-	if ti < 0 || ti >= g.NTheta || ri < 0 || ri >= g.NR {
-		return 0
-	}
-	return img.Load(m, base+ti*g.NR+ri)
 }
 
 // neville4 evaluates the four-tap Neville cubic interpolation kernel on

@@ -19,6 +19,11 @@ import (
 // replacement up.
 const drainRetryAfter = 5 * time.Second
 
+// maxSpecBytes bounds a POST /v1/jobs request body. A JobSpec is a few
+// short fields, so anything larger is refused with 413 before decoding
+// finishes.
+const maxSpecBytes = 64 << 10
+
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {
 	Error string `json:"error"`
@@ -58,16 +63,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit is POST /v1/jobs: decode the spec, run admission, and
-// answer 202 with the job record (200 when attaching to an existing
-// one). With ?wait=1 the handler blocks until the job resolves and
-// answers 200 with the final record — the synchronous mode load
-// generators use to measure end-to-end latency.
+// handleSubmit is POST /v1/jobs: decode the spec (at most maxSpecBytes;
+// a larger body answers 413), run admission, and answer 202 with the job
+// record (200 when attaching to an existing one). With ?wait=1 the
+// handler blocks until the job resolves and answers 200 with the final
+// record — the synchronous mode load generators use to measure
+// end-to-end latency.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("serve: request body exceeds %d bytes", tooLarge.Limit), 0)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
 		return
 	}

@@ -71,6 +71,22 @@ func (s JobSpec) config() (report.Config, error) {
 	return report.Config{}, &SpecError{Msg: fmt.Sprintf("unknown scale %q (want \"small\" or \"paper\")", s.Scale)}
 }
 
+// maxLabelLen bounds the length in bytes of a JobSpec's Tenant and Tag.
+// Both key daemon state (quota buckets, job records), so admission
+// refuses longer ones with a SpecError.
+const maxLabelLen = 128
+
+// checkLabels rejects a Tenant or Tag longer than maxLabelLen.
+func (s JobSpec) checkLabels() error {
+	if len(s.Tenant) > maxLabelLen {
+		return &SpecError{Msg: fmt.Sprintf("tenant is %d bytes, limit %d", len(s.Tenant), maxLabelLen)}
+	}
+	if len(s.Tag) > maxLabelLen {
+		return &SpecError{Msg: fmt.Sprintf("tag is %d bytes, limit %d", len(s.Tag), maxLabelLen)}
+	}
+	return nil
+}
+
 // SpecError is the typed rejection for a malformed job specification —
 // the HTTP layer maps it to 400 Bad Request.
 type SpecError struct {
@@ -333,6 +349,9 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 	}
 	if !knownExp(spec.Exp) {
 		return reject("spec", &SpecError{Msg: fmt.Sprintf("unknown experiment %q (want one of %v)", spec.Exp, bench.Keys())})
+	}
+	if err := spec.checkLabels(); err != nil {
+		return reject("spec", err)
 	}
 	id, job, err := s.JobID(spec)
 	if err != nil {

@@ -424,3 +424,73 @@ func mustResult(t *testing.T, ts *httptest.Server, id string) ([]byte, int, http
 	}
 	return buf.Bytes(), resp.StatusCode, resp.Header
 }
+
+// errorOf posts body to /v1/jobs and returns the status and the error
+// envelope's message.
+func errorOf(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("status %d: undecodable body: %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, e.Error
+}
+
+// TestSubmitBodyTooLarge: a body over maxSpecBytes answers a typed 413
+// without reaching admission.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	var execs atomic.Int64
+	s := NewServer(Options{Workers: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
+	defer s.Drain(t.Context())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"exp": "gbp", "tag": "` + strings.Repeat("x", maxSpecBytes) + `"}`
+	status, msg := errorOf(t, ts, body)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d (%s), want 413", status, msg)
+	}
+	if want := fmt.Sprintf("exceeds %d bytes", maxSpecBytes); !strings.Contains(msg, want) {
+		t.Errorf("413 error %q does not say %q", msg, want)
+	}
+	if got := s.Registry().Counter("serve.jobs.accepted").Value(); got != 0 {
+		t.Errorf("accepted = %v after an oversized body, want 0", got)
+	}
+	if execs.Load() != 0 {
+		t.Errorf("executions = %d, want 0", execs.Load())
+	}
+}
+
+// TestSubmitLabelTooLong: a Tenant or Tag longer than maxLabelLen is a
+// typed 400; one at the limit is admitted.
+func TestSubmitLabelTooLong(t *testing.T) {
+	var execs atomic.Int64
+	s := NewServer(Options{Workers: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
+	defer s.Drain(t.Context())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	long := strings.Repeat("t", maxLabelLen+1)
+	for _, field := range []string{"tenant", "tag"} {
+		status, msg := errorOf(t, ts, fmt.Sprintf(`{"exp": "gbp", %q: %q}`, field, long))
+		if status != http.StatusBadRequest {
+			t.Errorf("%s of %d bytes: status = %d, want 400", field, len(long), status)
+		}
+		if want := fmt.Sprintf("%s is %d bytes, limit %d", field, len(long), maxLabelLen); !strings.Contains(msg, want) {
+			t.Errorf("%s: error %q does not say %q", field, msg, want)
+		}
+	}
+	if _, err := s.Submit(t.Context(), JobSpec{Exp: "gbp", Tag: long}); err == nil {
+		t.Error("Submit accepted an over-long tag")
+	}
+	atLimit := strings.Repeat("t", maxLabelLen)
+	spec := fmt.Sprintf(`{"exp": "gbp", "tenant": %q, "tag": %q}`, atLimit, atLimit)
+	if status, _, _ := postJob(t, ts, spec, true); status != http.StatusOK {
+		t.Errorf("labels at the limit: status = %d, want 200", status)
+	}
+}
