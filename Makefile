@@ -106,8 +106,8 @@ servesmoke:
 
 # tracesmoke is the request-tracing contract: a live sarserve submission
 # must answer with a trace ID, and `sarlog trace <id>` must render a
-# span tree covering admission, queue wait, batch formation, execution
-# and the ledger write.
+# span tree covering admission, queue wait, execution and the ledger
+# write.
 tracesmoke:
 	./scripts/tracesmoke.sh
 

@@ -16,7 +16,7 @@
 //
 // trace renders the span tree a traced run embedded in its ledger
 // entry: per-stage wall-clock timings from admission through queue
-// wait, batch formation, execution and ledger write (see
+// wait, execution and ledger write (see
 // docs/OPERATIONS.md). Besides ledger refs it accepts the sarserve job
 // ID or the W3C trace ID (a prefix will do) printed in the X-Trace-Id
 // response header, and -perfetto additionally exports the tree in

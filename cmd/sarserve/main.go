@@ -1,8 +1,9 @@
 // Sarserve is the long-running SAR-as-a-service daemon: it accepts
-// image-formation and sweep jobs over HTTP/JSON, coalesces them into
-// batches, executes them on the internal/sweep worker pool, and serves
-// the resulting bench envelopes from a shared content-addressed cache
-// (duplicate submissions single-flight across tenants).
+// image-formation and sweep jobs over HTTP/JSON, runs each admitted job
+// through internal/sweep as soon as one of its -j execution slots is
+// free, and serves the resulting bench envelopes from a shared
+// content-addressed cache (duplicate submissions single-flight across
+// tenants).
 //
 // Endpoints (see docs/API.md for schemas and docs/OPERATIONS.md for the
 // operator runbook):
@@ -18,9 +19,8 @@
 // Usage:
 //
 //	sarserve                                   # listen on :8357, defaults
-//	sarserve -addr :9000 -j 8                  # eight sweep workers
+//	sarserve -addr :9000 -j 8                  # at most eight jobs execute at once
 //	sarserve -cache-dir /var/cache/sarserve    # persistent result cache
-//	sarserve -batch 16 -maxwait 50ms           # batching policy
 //	sarserve -queue 512                        # admission queue bound
 //	sarserve -qps 10 -burst 20                 # per-tenant quota
 //	sarserve -timeout 5m                       # per-job deadline
@@ -31,8 +31,8 @@
 //	sarserve -log-format json -log-level debug # structured log output
 //
 // On SIGTERM or SIGINT the daemon stops admitting jobs (POST answers
-// 503 + Retry-After, /readyz trips), flushes and finishes in-flight
-// batches, writes a final run-ledger entry with a metrics snapshot, and
+// 503 + Retry-After, /readyz trips), finishes the jobs it has already
+// admitted, writes a final run-ledger entry with a metrics snapshot, and
 // exits 0 on a clean drain.
 package main
 
@@ -57,8 +57,6 @@ func main() {
 	addr := flag.String("addr", ":8357", "HTTP listen address")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "sweep worker pool size")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (empty = no cache)")
-	batch := flag.Int("batch", 8, "max jobs per batch")
-	maxWait := flag.Duration("maxwait", 25*time.Millisecond, "max wait before flushing a partial batch")
 	queue := flag.Int("queue", 256, "max queued jobs before 429")
 	qps := flag.Float64("qps", 0, "per-tenant job admission rate (0 = unlimited)")
 	burst := flag.Int("burst", 0, "per-tenant burst allowance (0 = derived from -qps)")
@@ -79,8 +77,6 @@ func main() {
 	s := serve.NewServer(serve.Options{
 		Workers:     *workers,
 		CacheDir:    *cacheDir,
-		BatchSize:   *batch,
-		MaxWait:     *maxWait,
 		QueueLimit:  *queue,
 		Quota:       serve.QuotaConfig{JobsPerSec: *qps, Burst: *burst},
 		JobTimeout:  *timeout,
@@ -92,15 +88,14 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 
 	// Serve until SIGTERM/SIGINT, then drain: the signal context flips,
-	// admission starts rejecting, and we wait for in-flight batches
+	// admission starts rejecting, and we wait for admitted jobs
 	// before letting the HTTP listener close.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	lg.Info("listening on "+*addr,
-		"workers", *workers, "batch", *batch, "maxwait", *maxWait,
-		"queue", *queue, "trace_sample", *traceSample)
+		"workers", *workers, "queue", *queue, "trace_sample", *traceSample)
 
 	select {
 	case err := <-errCh:

@@ -18,8 +18,8 @@ import (
 // story. The Tracer above lives in the cycle domain of one simulated
 // machine; a ReqTrace lives in the wall-clock domain of one serving
 // request and stitches together every stage the request crosses —
-// HTTP admission, queue wait, batch formation, sweep cache lookup,
-// execution, ledger write — into a single span tree identified by a
+// HTTP admission, queue wait, sweep cache lookup, execution, ledger
+// write — into a single span tree identified by a
 // W3C-compatible 128-bit trace ID. Like the Tracer, everything here is
 // nil-receiver safe: an unsampled request carries a nil *ReqTrace and
 // every span operation is a no-op.
@@ -131,7 +131,7 @@ const DefaultReqSpanCapacity = 512
 
 // ReqTrace collects the wall-clock span tree of one request. It is
 // safe for concurrent use (a request's spans end on the HTTP
-// goroutine, the batcher goroutine, and sweep workers). A nil
+// goroutine, the job's execution goroutine, and sweep workers). A nil
 // *ReqTrace is a valid no-op sink — the unsampled-request fast path.
 type ReqTrace struct {
 	id TraceID

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sarmany/internal/bench"
 )
@@ -141,8 +140,8 @@ func TestAPIDocExamples(t *testing.T) {
 
 	var executions atomic.Int64
 	s := NewServer(Options{
-		Workers: 2, BatchSize: 4, MaxWait: 5 * time.Millisecond,
-		Run: stubRunner(&executions, 0),
+		Workers: 2,
+		Run:     stubRunner(&executions, 0),
 	})
 	defer s.Drain(t.Context())
 	ts := httptest.NewServer(s.Handler())

@@ -85,7 +85,7 @@ func benchRunner(tb testing.TB) sweep.RunFunc {
 func loadPoint(t *testing.T, run sweep.RunFunc, cacheDir string, rate float64, jobs, distinct int) servePoint {
 	t.Helper()
 	s := NewServer(Options{
-		Workers: 4, BatchSize: 8, MaxWait: 5 * time.Millisecond,
+		Workers:    4,
 		QueueLimit: 4 * jobs, // admission losses would skew the latency sample
 		CacheDir:   cacheDir,
 		Run:        run,

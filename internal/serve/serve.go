@@ -1,37 +1,37 @@
 // Package serve is the SAR-as-a-service layer: a long-running job
-// server that accepts image-formation and sweep jobs over HTTP/JSON,
-// coalesces them through a bounded batcher (batch-size + max-wait flush,
-// per-request result channels), and executes them on the
-// internal/sweep pool with the content-addressed result cache as a
-// shared store — duplicate submissions are single-flighted across
-// tenants and replay byte-identical envelopes.
+// server that accepts image-formation and sweep jobs over HTTP/JSON and
+// runs each admitted job through internal/sweep as soon as one of its
+// Workers execution slots is free, with the content-addressed result
+// cache as a shared store — duplicate submissions are single-flighted
+// across tenants and replay byte-identical envelopes.
 //
 // Admission control happens in three stages, each with a typed error
 // and an HTTP backpressure mapping:
 //
 //   - draining:   *DrainingError  -> 503 + Retry-After
 //   - quota:      *QuotaError     -> 429 + Retry-After (per-tenant token bucket)
-//   - queue full: *QueueFullError -> 429 + Retry-After (bounded batcher queue)
+//   - queue full: *QueueFullError -> 429 + Retry-After (QueueLimit admitted, unfinished jobs)
 //
 // Job identifiers are content addresses (a prefix of the sweep cache
 // key), so resubmitting the same job is idempotent: the second POST
 // attaches to the first record, and a completed job's result serves
 // straight from memory or the shared cache. Request deadlines propagate
 // via context.Context into the executing kernels; graceful drain stops
-// admission, flushes in-flight batches and appends a final ledger
-// entry. Every completed job is recorded in the internal/telemetry run
-// ledger, and the obs registry behind /metrics carries serve.* and
+// admission, waits for admitted jobs to finish and appends a final
+// ledger entry. Every completed job is recorded in the internal/telemetry
+// run ledger, and the obs registry behind /metrics carries serve.* and
 // sweep.* series for scrape tooling.
 package serve
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"sarmany/internal/bench"
@@ -97,19 +97,41 @@ type SpecError struct {
 // Error describes what is wrong with the spec.
 func (e *SpecError) Error() string { return "serve: bad job spec: " + e.Msg }
 
+// QueueFullError is the typed admission failure for a saturated server:
+// QueueLimit jobs are already admitted and unfinished, so the client
+// should back off and retry after the hint.
+type QueueFullError struct {
+	// Depth is the admitted-but-unfinished job count at rejection time.
+	Depth int
+	// Limit is the configured queue bound.
+	Limit int
+	// RetryAfter is the server's backoff hint.
+	RetryAfter time.Duration
+}
+
+// Error describes the rejection with its depth, limit and retry hint.
+func (e *QueueFullError) Error() string {
+	return fmt.Sprintf("serve: queue full (%d of %d requests pending), retry after %v",
+		e.Depth, e.Limit, e.RetryAfter)
+}
+
+// DrainingError is the typed admission failure while the server drains:
+// no new work is accepted, admitted jobs are being finished.
+type DrainingError struct{}
+
+// Error describes the rejection.
+func (e *DrainingError) Error() string { return "serve: draining, not accepting jobs" }
+
 // Options configures a Server.
 type Options struct {
-	// Workers bounds the sweep pool each batch executes on (<= 0 =
-	// GOMAXPROCS).
+	// Workers bounds how many jobs execute at once, daemon-wide (<= 0 =
+	// GOMAXPROCS). Admitted jobs beyond it wait in queue.wait.
 	Workers int
 	// CacheDir is the shared content-addressed result store; empty
 	// disables caching (every job simulates).
 	CacheDir string
-	// BatchSize and MaxWait configure the batcher flush policy (see
-	// BatcherOptions).
-	BatchSize int
-	MaxWait   time.Duration
-	// QueueLimit bounds queued+executing requests (default 256).
+	// QueueLimit bounds admitted-but-unfinished jobs, queued and
+	// executing together (default 256).
 	QueueLimit int
 	// Quota is the per-tenant admission budget (zero = unlimited).
 	Quota QuotaConfig
@@ -148,26 +170,28 @@ type serveMetrics struct {
 	accepted, completed, failed, cacheHits     *obs.Counter
 	rejQuota, rejQueue, rejDraining, dupAttach *obs.Counter
 	queueDepth                                 *obs.Gauge
-	batchJobs, jobSeconds, requestSeconds      *obs.Histogram
+	jobSeconds, requestSeconds                 *obs.Histogram
 }
 
-// Server is the batching job server. Create one with NewServer, mount
-// Handler on an http.Server, and Drain it on shutdown.
+// Server is the job server. Create one with NewServer, mount Handler on
+// an http.Server, and Drain it on shutdown.
 type Server struct {
 	opt     Options
 	base    context.Context
 	stop    context.CancelFunc
-	batcher *Batcher
 	store   *store
 	quotas  *quotas
 	reg     *obs.Registry
 	m       serveMetrics
 	started time.Time
 	salt    string
-	run     sweep.RunFunc
 	log     *slog.Logger
+	slots   chan struct{} // one token per executing job, Workers deep
 
-	drainCh chan struct{} // closed when Drain begins
+	mu      sync.Mutex
+	pending int           // admitted jobs not yet finished
+	drainCh chan struct{} // closed (under mu) when Drain begins
+	idle    chan struct{} // closed once draining with pending == 0
 }
 
 // NewServer returns a ready-to-serve job server.
@@ -180,18 +204,18 @@ func NewServer(opt Options) *Server {
 	if salt == "" {
 		salt = sweep.Salt
 	}
-	run := opt.Run
-	if run == nil {
-		run = func(ctx context.Context, j sweep.Job) (bench.Result, error) {
-			return bench.Compute(ctx, j.Exp, j.Config, "")
-		}
-	}
 	lg := opt.Log
 	if lg == nil {
 		lg = slog.New(slog.DiscardHandler)
 	}
+	if opt.Workers <= 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opt.QueueLimit <= 0 {
+		opt.QueueLimit = 256
+	}
 	base, stop := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		opt:     opt,
 		base:    base,
 		stop:    stop,
@@ -200,9 +224,10 @@ func NewServer(opt Options) *Server {
 		reg:     reg,
 		started: time.Now(),
 		salt:    salt,
-		run:     run,
 		log:     lg,
+		slots:   make(chan struct{}, opt.Workers),
 		drainCh: make(chan struct{}),
+		idle:    make(chan struct{}),
 		m: serveMetrics{
 			accepted:       reg.Counter("serve.jobs.accepted"),
 			completed:      reg.Counter("serve.jobs.completed"),
@@ -213,19 +238,10 @@ func NewServer(opt Options) *Server {
 			rejDraining:    reg.Counter("serve.jobs.rejected.draining"),
 			dupAttach:      reg.Counter("serve.jobs.deduplicated"),
 			queueDepth:     reg.Gauge("serve.queue.depth"),
-			batchJobs:      reg.Histogram("serve.batch.jobs"),
 			jobSeconds:     reg.Histogram("serve.job.seconds"),
 			requestSeconds: reg.Histogram("serve.request.seconds"),
 		},
 	}
-	s.batcher = NewBatcher(BatcherOptions{
-		BatchSize:  opt.BatchSize,
-		MaxWait:    opt.MaxWait,
-		QueueLimit: opt.QueueLimit,
-		RetryAfter: s.retryAfterHint,
-		Exec:       s.execBatch,
-	})
-	return s
 }
 
 // Registry exposes the server's metric registry (the /metrics and
@@ -254,16 +270,14 @@ const coldRetryAfter = time.Second
 // rate, clamped to [coldRetryAfter, 60s]. With no latency history (or
 // an empty queue) it suggests coldRetryAfter.
 func (s *Server) retryAfterHint() time.Duration {
-	depth := s.batcher.Depth()
+	s.mu.Lock()
+	depth := s.pending
+	s.mu.Unlock()
 	p50 := s.m.jobSeconds.Quantile(0.5)
-	workers := s.opt.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	if math.IsNaN(p50) || p50 <= 0 || depth == 0 {
 		return coldRetryAfter
 	}
-	sec := math.Ceil(float64(depth) * p50 / float64(workers))
+	sec := math.Ceil(float64(depth) * p50 / float64(s.opt.Workers))
 	if d := time.Duration(math.Min(math.Max(sec, 1), 60)) * time.Second; d > coldRetryAfter {
 		return d
 	}
@@ -316,7 +330,9 @@ func submitTraceID(ctx context.Context, tr *obs.ReqTrace) string {
 
 // Submit runs the admission pipeline for one spec: draining check,
 // tenant quota, content-address lookup (an existing live record attaches
-// without executing), then the bounded batcher. The returned JobInfo is
+// without executing), then the QueueLimit bound. An admitted job starts
+// on its own goroutine, which waits for one of the Workers execution
+// slots and runs the job. The returned JobInfo is
 // the record's current state; rec.done (via WaitDone) resolves when the
 // job completes.
 //
@@ -400,21 +416,20 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 	// Execution deliberately runs on the server's context, not the
 	// submitter's: shared (single-flighted) work must survive one
 	// client's disconnect.
-	execCtx := s.base
+	var execCtx context.Context
 	var cancel context.CancelFunc
 	if timeout > 0 {
-		execCtx, cancel = context.WithTimeout(execCtx, timeout)
+		execCtx, cancel = context.WithTimeout(s.base, timeout)
+	} else {
+		execCtx, cancel = context.WithCancel(s.base)
 	}
-	// The trace handles ride the record from here on: the batcher can
-	// flush this request on its own goroutine the moment Submit returns,
-	// so they must be attached before the queue is entered.
+	// The trace handles ride the record from here on: the job's goroutine
+	// can start executing the moment it is admitted.
 	queue := root.Child("queue.wait")
 	rec.setTrace(traceState{trace: tr, root: root, queue: queue})
-	req, err := s.batcher.Submit(execCtx, id, job)
+	depth, err := s.admitExec()
 	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		// Roll the record back so a retry after backoff re-admits.
 		rec.complete(nil, false, 0, err.Error(), "")
 		queue.SetAttr("rejected", "queue_full")
@@ -428,16 +443,78 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 			"trace_id", tid, "tenant", tenant, "job_id", id, "reason", "queue_full", "err", err.Error())
 		return JobInfo{}, err
 	}
-	if cancel != nil {
-		// The batcher cancels the request context on delivery; release
-		// the timeout timer right behind it.
-		context.AfterFunc(req.Context(), cancel)
-	}
 	s.m.accepted.Add(1)
-	s.m.queueDepth.Set(float64(s.batcher.Depth()))
+	s.m.queueDepth.Set(float64(depth))
 	s.log.Debug("job accepted",
-		"trace_id", tid, "tenant", tenant, "job_id", id, "exp", spec.Exp, "queue_depth", s.batcher.Depth())
-	return rec.snapshot(), nil
+		"trace_id", tid, "tenant", tenant, "job_id", id, "exp", spec.Exp, "queue_depth", depth)
+	info := rec.snapshot()
+	go s.execute(execCtx, cancel, rec, job)
+	return info, nil
+}
+
+// admitExec counts one more admitted job, or refuses it with a typed
+// error once Drain has begun or QueueLimit jobs are unfinished. It
+// returns the new count.
+func (s *Server) admitExec() (int, error) {
+	s.mu.Lock()
+	draining, depth := s.Draining(), s.pending
+	if !draining && depth < s.opt.QueueLimit {
+		s.pending++
+	}
+	s.mu.Unlock()
+	switch {
+	case draining:
+		return 0, &DrainingError{}
+	case depth >= s.opt.QueueLimit:
+		return 0, &QueueFullError{Depth: depth, Limit: s.opt.QueueLimit, RetryAfter: s.retryAfterHint()}
+	}
+	return depth + 1, nil
+}
+
+// execute runs one admitted job: it waits for an execution slot, runs
+// the job through the sweep engine (cache lookup, then the runner) on
+// ctx, and resolves the record. A job whose context ends while it waits
+// fails without running.
+func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, rec *record, job sweep.Job) {
+	defer s.jobDone()
+	defer cancel()
+	queued := time.Now()
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		s.finish(rec, sweep.JobResult{Job: job, Err: err}, queued)
+		return
+	}
+	started := time.Now()
+	exec := rec.beginExec()
+	results, err := sweep.Run(ctx, []sweep.Job{job}, sweep.Options{
+		Workers:  1,
+		CacheDir: s.opt.CacheDir,
+		Metrics:  s.reg,
+		Salt:     s.salt,
+		SpanFor:  func(int, sweep.Job) *obs.ReqSpan { return exec },
+		Run:      s.opt.Run,
+	})
+	res := sweep.JobResult{Job: job, Err: err}
+	if err == nil {
+		res = results[0]
+	}
+	s.finish(rec, res, started)
+}
+
+// jobDone uncounts a finished job and, once a drain has begun and the
+// last job is out, releases Drain.
+func (s *Server) jobDone() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending--
+	s.m.queueDepth.Set(float64(s.pending))
+	if s.pending == 0 && s.Draining() {
+		close(s.idle)
+	}
 }
 
 // WaitDone blocks until the job with id completes (or ctx is done) and
@@ -474,85 +551,18 @@ func (s *Server) Result(id string) ([]byte, JobInfo, bool) {
 	return raw, info, true
 }
 
-// execBatch executes one flushed batch on the sweep pool. Each batch
-// slot's Name carries its index so the runner can recover the request
-// and honor its context (per-request deadline) inside the kernel.
-func (s *Server) execBatch(batch []*Request) {
-	s.m.batchJobs.Observe(float64(len(batch)))
-	flushed := time.Now()
-	jobs := make([]sweep.Job, len(batch))
-	forms := make([]*obs.ReqSpan, len(batch))
-	for i, r := range batch {
-		jobs[i] = r.Job
-		jobs[i].Name = strconv.Itoa(i)
-		if rec, ok := s.store.get(r.ID); ok {
-			rec.setRunning()
-			forms[i] = rec.beginExec(len(batch))
-		}
-	}
-	for _, f := range forms {
-		f.End()
-	}
-	results, err := sweep.Run(s.base, jobs, sweep.Options{
-		Workers:  s.opt.Workers,
-		CacheDir: s.opt.CacheDir,
-		Metrics:  s.reg,
-		Salt:     s.salt,
-		// Batch slots map 1:1 onto sweep input indices, so the sweep's
-		// cache-lookup/execute spans nest under each request's execute
-		// stage span.
-		SpanFor: func(i int, j sweep.Job) *obs.ReqSpan {
-			if i < 0 || i >= len(batch) {
-				return nil
-			}
-			if rec, ok := s.store.get(batch[i].ID); ok {
-				return rec.traceHandles().exec
-			}
-			return nil
-		},
-		Run: func(ctx context.Context, j sweep.Job) (bench.Result, error) {
-			i, aerr := strconv.Atoi(j.Name)
-			if aerr != nil || i < 0 || i >= len(batch) {
-				return bench.Result{}, fmt.Errorf("serve: lost batch slot %q", j.Name)
-			}
-			req := batch[i]
-			jctx, cancel := joinContext(ctx, req.Context())
-			defer cancel()
-			orig := req.Job
-			return s.run(jctx, orig)
-		},
-	})
-	if err != nil {
-		// Sweep-level failure (unusable cache dir): fail the whole batch.
-		for _, r := range batch {
-			r.deliver(sweep.JobResult{Job: r.Job, Err: err})
-			s.finish(r, sweep.JobResult{Job: r.Job, Err: err}, flushed)
-		}
-		return
-	}
-	for i, r := range batch {
-		res := results[i]
-		r.deliver(res)
-		s.finish(r, res, flushed)
-	}
-	s.m.queueDepth.Set(float64(s.batcher.Depth()))
-}
-
-// finish resolves the request's store record, updates counters, seals
-// the request trace and records the completed job in the run ledger.
-func (s *Server) finish(r *Request, res sweep.JobResult, flushed time.Time) {
-	rec, ok := s.store.get(r.ID)
-	if !ok {
-		return
-	}
+// finish resolves the job's store record, updates counters, seals the
+// request trace and records the completed job in the run ledger. start
+// stands in for the execution start when the sweep timed nothing.
+func (s *Server) finish(rec *record, res sweep.JobResult, start time.Time) {
 	info := rec.snapshot()
 	dur := res.Duration
 	if dur == 0 {
-		dur = time.Since(flushed)
+		dur = time.Since(start)
 	}
 	s.m.jobSeconds.Observe(dur.Seconds())
 	// serve.request.seconds is the end-to-end latency a submitter saw:
-	// queueing (batch fill + max-wait) plus execution.
+	// waiting for an execution slot plus execution.
 	wall := time.Since(info.SubmittedAt)
 	s.m.requestSeconds.Observe(wall.Seconds())
 	errMsg := ""
@@ -566,8 +576,9 @@ func (s *Server) finish(r *Request, res sweep.JobResult, flushed time.Time) {
 		}
 	}
 	ts := rec.traceHandles()
-	// On the sweep-level failure path beginExec never ran; end the
-	// queue span here so the tree stays consistent (no-op otherwise).
+	// A job that failed while waiting for a slot never began executing;
+	// end the queue span here so the tree stays consistent (no-op
+	// otherwise).
 	ts.queue.End()
 	ts.exec.SetAttr("cached", strconv.FormatBool(res.Cached))
 	if errMsg != "" {
@@ -580,7 +591,7 @@ func (s *Server) finish(r *Request, res sweep.JobResult, flushed time.Time) {
 		level = slog.LevelWarn
 	}
 	s.log.Log(context.Background(), level, "job finished",
-		"trace_id", info.TraceID, "tenant", tenantOf(info.Spec), "job_id", r.ID,
+		"trace_id", info.TraceID, "tenant", tenantOf(info.Spec), "job_id", info.ID,
 		"exp", info.Spec.Exp, "cached", res.Cached, "failed", errMsg != "",
 		"wall_seconds", wall.Seconds(), "exec_seconds", dur.Seconds(),
 		"queue_seconds", (wall - dur).Seconds(), "slow", level == slog.LevelWarn)
@@ -642,18 +653,24 @@ func (s *Server) recordJob(info JobInfo, res sweep.JobResult, errMsg string, ts 
 }
 
 // Drain gracefully shuts the server down: admission stops (readyz turns
-// 503, POST /v1/jobs returns 503 + Retry-After), the pending partial
-// batch flushes, in-flight jobs run to completion (bounded by ctx), and
-// a final summary entry lands in the run ledger. Jobs still running when
-// ctx expires are cancelled.
+// 503, POST /v1/jobs returns 503 + Retry-After), admitted jobs run to
+// completion (bounded by ctx), and a final summary entry lands in the
+// run ledger. Jobs still queued or running when ctx expires are
+// cancelled.
 func (s *Server) Drain(ctx context.Context) error {
-	select {
-	case <-s.drainCh:
-	default:
+	s.mu.Lock()
+	if !s.Draining() {
 		close(s.drainCh)
+		if s.pending == 0 {
+			close(s.idle)
+		}
 	}
-	err := s.batcher.Close(ctx)
-	if err != nil {
+	s.mu.Unlock()
+	var err error
+	select {
+	case <-s.idle:
+	case <-ctx.Done():
+		err = ctx.Err()
 		s.stop() // cut the stragglers loose before the process exits
 	}
 	s.recordDrain(err)
@@ -667,7 +684,6 @@ func (s *Server) recordDrain(drainErr error) {
 	}
 	e, err := telemetry.NewEntry("sarserve", s.started, map[string]any{
 		"workers":     s.opt.Workers,
-		"batch_size":  s.opt.BatchSize,
 		"queue_limit": s.opt.QueueLimit,
 		"quota_jps":   s.opt.Quota.JobsPerSec,
 	})
@@ -694,27 +710,4 @@ func tenantOf(spec JobSpec) string {
 		return "default"
 	}
 	return spec.Tenant
-}
-
-// joinContext derives a context cancelled when either parent is done —
-// how a per-request deadline composes with the server's base context
-// inside the sweep runner. b's deadline carries over as a real deadline,
-// so an overrun surfaces as context.DeadlineExceeded, not a bare cancel.
-func joinContext(a, b context.Context) (context.Context, context.CancelFunc) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if dl, ok := b.Deadline(); ok {
-		ctx, cancel = context.WithDeadline(a, dl)
-	} else {
-		ctx, cancel = context.WithCancel(a)
-	}
-	stop := context.AfterFunc(b, func() {
-		// When b ended on its deadline, the joined context carries the
-		// same deadline and its own timer reports DeadlineExceeded;
-		// cancelling here would race it and misreport Canceled.
-		if !errors.Is(b.Err(), context.DeadlineExceeded) {
-			cancel()
-		}
-	})
-	return ctx, func() { stop(); cancel() }
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -63,8 +64,8 @@ func postJob(t *testing.T, ts *httptest.Server, spec string, wait bool) (int, Jo
 func TestServerSubmitWaitAndResult(t *testing.T) {
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 2, BatchSize: 2, MaxWait: 5 * time.Millisecond,
-		Run: stubRunner(&execs, 0),
+		Workers: 2,
+		Run:     stubRunner(&execs, 0),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -110,8 +111,8 @@ func TestServerSubmitWaitAndResult(t *testing.T) {
 func TestServerIdempotentResubmit(t *testing.T) {
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 2, BatchSize: 4, MaxWait: 5 * time.Millisecond,
-		Run: stubRunner(&execs, 0),
+		Workers: 2,
+		Run:     stubRunner(&execs, 0),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -148,7 +149,7 @@ func TestServerAdmissionErrors(t *testing.T) {
 	started := make(chan struct{}, 1)
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond, QueueLimit: 1,
+		Workers: 1, QueueLimit: 1,
 		Quota: QuotaConfig{JobsPerSec: 0.001, Burst: 2},
 		Run: func(ctx context.Context, j sweep.Job) (bench.Result, error) {
 			execs.Add(1)
@@ -171,8 +172,8 @@ func TestServerAdmissionErrors(t *testing.T) {
 		t.Errorf("unknown scale status = %d, want 400", status)
 	}
 
-	// First job occupies the queue (BatchSize 1 flushes immediately and
-	// blocks on release); the second distinct job overflows QueueLimit 1.
+	// First job occupies the queue (it starts at once and blocks on
+	// release); the second distinct job overflows QueueLimit 1.
 	if status, _, _ := postJob(t, ts, `{"exp": "gbp", "tag": "a"}`, false); status != http.StatusAccepted {
 		t.Fatalf("first submit status = %d, want 202", status)
 	}
@@ -201,8 +202,8 @@ func TestServerAdmissionErrors(t *testing.T) {
 	}
 	// Another tenant still has its own budget (but hits the full queue,
 	// which is checked after quota — so spend the bucket down instead).
-	// The first job reaches the runner on the batcher's flush goroutine,
-	// possibly after the submissions above returned: wait for it.
+	// The first job reaches the runner on its own goroutine, possibly
+	// after the submissions above returned: wait for it.
 	select {
 	case <-started:
 	case <-time.After(10 * time.Second):
@@ -220,7 +221,7 @@ func TestServerDrain(t *testing.T) {
 	ledger := t.TempDir()
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 2, BatchSize: 4, MaxWait: 5 * time.Millisecond,
+		Workers:   2,
 		LedgerDir: ledger,
 		Run:       stubRunner(&execs, 20*time.Millisecond),
 	})
@@ -294,11 +295,187 @@ func TestServerDrain(t *testing.T) {
 	}
 }
 
+// blockingRunner returns a runner that signals started on entry and then
+// holds its execution slot until release closes (or its context ends).
+func blockingRunner(started chan<- string, release <-chan struct{}) sweep.RunFunc {
+	return func(ctx context.Context, j sweep.Job) (bench.Result, error) {
+		started <- j.Extra.(map[string]string)["tag"]
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return bench.Result{}, ctx.Err()
+		}
+		return bench.Result{Name: "stub", Data: struct{}{}}, nil
+	}
+}
+
+// TestServerQueuedCancellation: a job whose deadline passes while it
+// waits for an execution slot fails without running, and the server
+// keeps serving afterwards.
+func TestServerQueuedCancellation(t *testing.T) {
+	started := make(chan string, 8)
+	release := make(chan struct{})
+	s := NewServer(Options{Workers: 1, Run: blockingRunner(started, release)})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	if _, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: "holder"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-started; got != "holder" {
+		t.Fatalf("first runner call = %q, want holder", got)
+	}
+	doomed, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: "doomed", TimeoutSeconds: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.WaitDone(ctx, doomed.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != StatusFailed || !strings.Contains(info.Error, "deadline") {
+		t.Errorf("queued job past its deadline = %+v, want failed with a deadline error", info)
+	}
+	select {
+	case tag := <-started:
+		t.Errorf("runner called for %q while the only slot was held", tag)
+	default:
+	}
+
+	close(release)
+	alive, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: "alive"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := s.WaitDone(ctx, alive.ID); err != nil || info.Status != StatusDone {
+		t.Fatalf("post-cancel job = %+v, %v", info, err)
+	}
+	if got := <-started; got != "alive" {
+		t.Errorf("runner call after release = %q, want alive", got)
+	}
+}
+
+// TestServerDrainWithInflight: Drain blocks while admitted jobs, running
+// or still queued for a slot, are unfinished, then returns with every
+// one done and later submissions refused with a typed DrainingError.
+func TestServerDrainWithInflight(t *testing.T) {
+	started := make(chan string, 8)
+	release := make(chan struct{})
+	s := NewServer(Options{Workers: 1, Run: blockingRunner(started, release)})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	running, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: "running"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: "queued"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with jobs unfinished", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if info, _ := s.Info(id); info.Status != StatusDone {
+			t.Errorf("job %s after drain = %+v, want done", id, info)
+		}
+	}
+	var drain *DrainingError
+	if _, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: "late"}); !errors.As(err, &drain) {
+		t.Errorf("post-drain submit err = %v, want *DrainingError", err)
+	}
+}
+
+// TestServerQueueFullTyped: the queue bound counts admitted, unfinished
+// jobs and rejects beyond it with a typed QueueFullError carrying depth,
+// limit and a positive Retry-After.
+func TestServerQueueFullTyped(t *testing.T) {
+	started := make(chan string, 8)
+	release := make(chan struct{})
+	defer close(release)
+	s := NewServer(Options{Workers: 1, QueueLimit: 2, Run: blockingRunner(started, release)})
+	for _, tag := range []string{"a", "b"} {
+		if _, err := s.Submit(context.Background(), JobSpec{Exp: "gbp", Tag: tag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var full *QueueFullError
+	_, err := s.Submit(context.Background(), JobSpec{Exp: "gbp", Tag: "overflow"})
+	if !errors.As(err, &full) {
+		t.Fatalf("err = %v, want *QueueFullError", err)
+	}
+	if full.Limit != 2 || full.Depth != 2 || full.RetryAfter != coldRetryAfter {
+		t.Errorf("QueueFullError = %+v, want depth 2, limit 2, retry after %v", full, coldRetryAfter)
+	}
+}
+
+// TestServerBoundsConcurrentExecutions: Workers bounds executions
+// daemon-wide, however the submissions are spread in time.
+func TestServerBoundsConcurrentExecutions(t *testing.T) {
+	var cur, peak, execs atomic.Int64
+	release := make(chan struct{})
+	s := NewServer(Options{
+		Workers: 2,
+		Run: func(ctx context.Context, j sweep.Job) (bench.Result, error) {
+			execs.Add(1)
+			n := cur.Add(1)
+			defer cur.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return bench.Result{}, ctx.Err()
+			}
+			return bench.Result{Name: "stub", Data: struct{}{}}, nil
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	var ids []string
+	for i := 0; i < 6; i++ {
+		if i > 0 {
+			time.Sleep(30 * time.Millisecond)
+		}
+		info, err := s.Submit(ctx, JobSpec{Exp: "gbp", Tag: fmt.Sprintf("job-%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+	time.Sleep(30 * time.Millisecond)
+	close(release)
+	for _, id := range ids {
+		if info, err := s.WaitDone(ctx, id); err != nil || info.Status != StatusDone {
+			t.Fatalf("job %s = %+v, %v", id, info, err)
+		}
+	}
+	if got := peak.Load(); got != 2 {
+		t.Errorf("peak concurrent executions = %d, want 2 (Workers)", got)
+	}
+	if got := execs.Load(); got != 6 {
+		t.Errorf("executions = %d, want 6", got)
+	}
+}
+
 // TestServerDeadlinePropagation: a per-request timeout reaches the
 // runner's context and fails the job.
 func TestServerDeadlinePropagation(t *testing.T) {
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
+		Workers: 1,
 		Run: func(ctx context.Context, j sweep.Job) (bench.Result, error) {
 			<-ctx.Done() // a kernel honoring its checkpoint
 			return bench.Result{}, ctx.Err()
@@ -322,8 +499,8 @@ func TestServerDeadlinePropagation(t *testing.T) {
 func TestServerExposition(t *testing.T) {
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
-		Run: stubRunner(&execs, 0),
+		Workers: 1,
+		Run:     stubRunner(&execs, 0),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -375,7 +552,7 @@ func TestServerSharedCacheAcrossServers(t *testing.T) {
 	cache := t.TempDir()
 	mk := func(execs *atomic.Int64) (*Server, *httptest.Server) {
 		s := NewServer(Options{
-			Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
+			Workers:  1,
 			CacheDir: cache,
 			Run:      stubRunner(execs, 0),
 		})
@@ -445,7 +622,7 @@ func errorOf(t *testing.T, ts *httptest.Server, body string) (int, string) {
 // without reaching admission.
 func TestSubmitBodyTooLarge(t *testing.T) {
 	var execs atomic.Int64
-	s := NewServer(Options{Workers: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
+	s := NewServer(Options{Workers: 1, Run: stubRunner(&execs, 0)})
 	defer s.Drain(t.Context())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -470,7 +647,7 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 // typed 400; one at the limit is admitted.
 func TestSubmitLabelTooLong(t *testing.T) {
 	var execs atomic.Int64
-	s := NewServer(Options{Workers: 1, MaxWait: time.Millisecond, Run: stubRunner(&execs, 0)})
+	s := NewServer(Options{Workers: 1, Run: stubRunner(&execs, 0)})
 	defer s.Drain(t.Context())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

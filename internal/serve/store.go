@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 // Status is a job's lifecycle state.
 type Status string
 
-// The job lifecycle: Queued (admitted, waiting for its batch), Running
-// (its batch is executing), then Done or Failed. A resubmission of a
+// The job lifecycle: Queued (admitted, waiting for an execution slot),
+// Running (executing), then Done or Failed. A resubmission of a
 // Failed job re-enters at Queued; Done results are immutable.
 const (
 	StatusQueued  Status = "queued"
@@ -56,7 +55,7 @@ type JobInfo struct {
 type traceState struct {
 	trace *obs.ReqTrace
 	root  *obs.ReqSpan // whole-request span, ended at ledger time
-	queue *obs.ReqSpan // queue.wait, ended when the batch flushes
+	queue *obs.ReqSpan // queue.wait, ended when an execution slot is acquired
 	exec  *obs.ReqSpan // execute stage, parent of the sweep's child spans
 }
 
@@ -73,7 +72,7 @@ type record struct {
 }
 
 // setTrace stores the owning request's trace handles. Called before the
-// record reaches the batcher, so the executing side always sees them.
+// job is admitted for execution, so the executing side always sees them.
 func (r *record) setTrace(ts traceState) {
 	r.mu.Lock()
 	r.trace = ts
@@ -88,22 +87,18 @@ func (r *record) traceHandles() traceState {
 	return r.trace
 }
 
-// beginExec marks the batch-flush boundary in the record's trace: the
-// queue.wait span ends, the execute stage span opens (annotated with the
-// flushed batch size), and a batch.form child covers job-slice assembly
-// until the caller ends it. Returns the batch.form span.
-func (r *record) beginExec(batchJobs int) *obs.ReqSpan {
+// beginExec marks the slot-acquired boundary in the record's trace: the
+// queue.wait span ends and the execute stage span opens. It returns the
+// execute span, the parent of the sweep's spans for this job.
+func (r *record) beginExec() *obs.ReqSpan {
 	r.mu.Lock()
-	ts := r.trace
-	r.mu.Unlock()
-	ts.queue.End()
-	exec := ts.root.Child("execute")
-	exec.SetAttr("batch_jobs", strconv.Itoa(batchJobs))
-	form := exec.Child("batch.form")
-	r.mu.Lock()
-	r.trace.exec = exec
-	r.mu.Unlock()
-	return form
+	defer r.mu.Unlock()
+	if r.info.Status == StatusQueued {
+		r.info.Status = StatusRunning
+	}
+	r.trace.queue.End()
+	r.trace.exec = r.trace.root.Child("execute")
+	return r.trace.exec
 }
 
 func (r *record) snapshot() JobInfo {
@@ -166,15 +161,6 @@ func (s *store) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.jobs)
-}
-
-// setRunning marks the record's batch as executing.
-func (r *record) setRunning() {
-	r.mu.Lock()
-	if r.info.Status == StatusQueued {
-		r.info.Status = StatusRunning
-	}
-	r.mu.Unlock()
 }
 
 // complete resolves the record and wakes every waiter. err == "" means

@@ -74,7 +74,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	var execs atomic.Int64
 	dir := t.TempDir()
 	s := NewServer(Options{
-		Workers: 2, BatchSize: 1, MaxWait: time.Millisecond,
+		Workers:  2,
 		CacheDir: t.TempDir(), LedgerDir: dir,
 		TraceSample: 1,
 		Run:         stubRunner(&execs, 10*time.Millisecond),
@@ -114,7 +114,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		byName[sp.Name] = sp
 	}
 	for _, stage := range []string{
-		"request", "admission", "queue.wait", "execute", "batch.form",
+		"request", "admission", "queue.wait", "execute",
 		"sweep.cache.lookup", "sweep.execute", "ledger.write",
 	} {
 		if _, ok := byName[stage]; !ok {
@@ -127,9 +127,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if byName["sweep.cache.lookup"].Attrs["hit"] != "false" {
 		t.Errorf("cold lookup attrs = %v", byName["sweep.cache.lookup"].Attrs)
-	}
-	if byName["execute"].Attrs["batch_jobs"] != "1" {
-		t.Errorf("execute attrs = %v", byName["execute"].Attrs)
 	}
 
 	// Reconciliation: every direct stage lies inside the root window,
@@ -192,7 +189,7 @@ func TestTraceparentInbound(t *testing.T) {
 	var execs atomic.Int64
 	dir := t.TempDir()
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
+		Workers:   1,
 		LedgerDir: dir,
 		// TraceSample 0: only the inbound flag can turn tracing on.
 		Run: stubRunner(&execs, 0),
@@ -251,7 +248,7 @@ func TestTraceSampleZero(t *testing.T) {
 	var execs atomic.Int64
 	dir := t.TempDir()
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
+		Workers:   1,
 		LedgerDir: dir, Run: stubRunner(&execs, 0),
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -278,8 +275,8 @@ func TestTraceSampleZero(t *testing.T) {
 func TestSubmitAssignsTraceID(t *testing.T) {
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond,
-		Run: stubRunner(&execs, 0),
+		Workers: 1,
+		Run:     stubRunner(&execs, 0),
 	})
 	info, err := s.Submit(context.Background(), JobSpec{Exp: "gbp"})
 	if err != nil {
@@ -311,7 +308,7 @@ func TestRetryAfterHintCold(t *testing.T) {
 func TestColdQueueFullRetryAfter(t *testing.T) {
 	var execs atomic.Int64
 	s := NewServer(Options{
-		Workers: 1, BatchSize: 1, MaxWait: time.Millisecond, QueueLimit: 1,
+		Workers: 1, QueueLimit: 1,
 		Run: stubRunner(&execs, 200*time.Millisecond),
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -320,7 +317,7 @@ func TestColdQueueFullRetryAfter(t *testing.T) {
 	if status, _, _, _ := postTraced(t, ts, `{"exp": "gbp", "tag": "a"}`, "", false); status != http.StatusAccepted {
 		t.Fatalf("first submit = %d, want 202", status)
 	}
-	// Fill the queue until the bounded batcher rejects, while the first
+	// Fill the queue until admission rejects, while the first
 	// job still blocks the only worker.
 	deadline := time.Now().Add(2 * time.Second)
 	for i := 0; ; i++ {

@@ -30,7 +30,6 @@ import (
 	"sarmany/internal/refcpu"
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
-	"sarmany/internal/serve"
 	"sarmany/internal/sizing"
 	"sarmany/internal/sweep"
 	"sarmany/internal/telemetry"
@@ -404,30 +403,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func RunSweep(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]SweepJobResult, error) {
 	return sweep.Run(ctx, jobs, opt)
 }
-
-// Serving layer (cmd/sarserve; see docs/API.md and docs/OPERATIONS.md).
-type (
-	// JobServer is the SAR-as-a-service core: batching, admission
-	// control, content-addressed job store, and the HTTP handler set
-	// (Handler). cmd/sarserve wraps it in a daemon.
-	JobServer = serve.Server
-	// JobServerOptions configures a JobServer: worker pool, cache
-	// directory, batching policy, queue bound, tenant quotas, job
-	// timeout, and ledger directory.
-	JobServerOptions = serve.Options
-	// JobServerSpec is one submission: experiment key, scale, tenant,
-	// tag, and optional timeout — the POST /v1/jobs body.
-	JobServerSpec = serve.JobSpec
-	// JobServerInfo is a job's externally visible record: its
-	// content-addressed ID, status, timing, and run-ledger reference.
-	JobServerInfo = serve.JobInfo
-	// TenantQuota is the per-tenant token-bucket admission budget.
-	TenantQuota = serve.QuotaConfig
-)
-
-// NewJobServer assembles a job server; mount its Handler on an
-// http.Server and call Drain on shutdown.
-func NewJobServer(opt JobServerOptions) *JobServer { return serve.NewServer(opt) }
 
 // SweepData returns a sweep result's experiment data as its concrete
 // type, decoding the raw payload when the envelope was replayed from the

@@ -4,7 +4,7 @@
 # HTTP, assert the response carries an X-Trace-Id that matches the job
 # record's trace_id, then render the trace with `sarlog trace` and
 # assert the span tree covers the serving pipeline stage by stage
-# (admission, queue wait, batch formation, execution, ledger write).
+# (admission, queue wait, execution, ledger write).
 # Run via `make tracesmoke`; wired into CI through `make check`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -74,7 +74,7 @@ go run ./cmd/sarlog trace -dir "$WORK/runs" "$trace_id" > "$WORK/trace.txt" || {
 	cat "$WORK/trace.txt"
 	exit 1
 }
-for stage in request admission queue.wait batch.form execute ledger.write ms; do
+for stage in request admission queue.wait execute ledger.write ms; do
 	grep -q "$stage" "$WORK/trace.txt" || {
 		echo "tracesmoke: span tree is missing '$stage':"
 		cat "$WORK/trace.txt"
