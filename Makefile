@@ -40,7 +40,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 -run 'Chaos|Fault|EmptyPlan' \
 		./internal/emu ./internal/kernels ./internal/conform \
-		./cmd/epirun ./cmd/sarprof
+		./cmd/epirun
 
 # fuzzsmoke gives the fault-plan parser and the traceparent header
 # parser fuzzers a short budget each, on top of replaying their committed

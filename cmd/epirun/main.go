@@ -17,6 +17,8 @@
 //	epirun -metrics metrics.json            # metrics-registry snapshot
 //	epirun -json                            # machine-readable summary on stdout
 //	epirun -check                           # verify run invariants afterwards
+//	epirun -profile                         # critical path, energy, roofline, heatmap
+//	epirun -html profile.html               # the same profile as an HTML page
 //	epirun -faults plan.txt                 # inject a deterministic fault plan
 //	epirun -watch                           # live per-core progress on stderr
 //	epirun -stallafter 30s                  # watchdog: post-mortem if wedged
@@ -46,12 +48,24 @@
 // A -trace file loads in ui.perfetto.dev or chrome://tracing: one thread
 // per core with compute and stall spans, plus a phase track for SPMD
 // kernels.
+//
+// -profile traces the run and, after -check, analyzes the trace with
+// internal/profile: the critical path with per-cause stall attribution,
+// per-phase energy against the power model, a roofline classification
+// of every barrier phase, and a mesh heatmap of core utilization and
+// link traffic. A faulted run adds the fault degradation section. The
+// text report follows the run statistics; with -json it is the summary's
+// "profile" field. -html writes the same profile as a self-contained
+// HTML page and implies -profile. Only Epiphany kernels can be profiled:
+// the analyzer consumes the chip's span tracks, dependency edges and
+// phase records.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"os"
@@ -66,22 +80,24 @@ import (
 	"sarmany/internal/kernels"
 	"sarmany/internal/logx"
 	"sarmany/internal/obs"
+	"sarmany/internal/profile"
 	"sarmany/internal/refcpu"
 	"sarmany/internal/report"
 	"sarmany/internal/sar"
 	"sarmany/internal/telemetry"
 )
 
-// summary is the -json output: identity, modeled time, and the full
-// metrics snapshot of the run.
+// summary is the -json output: identity, modeled time, the full metrics
+// snapshot of the run, and the -profile analysis when one was asked for.
 type summary struct {
-	Kernel  string       `json:"kernel"`
-	Machine string       `json:"machine"`
-	Cores   int          `json:"cores"`
-	ClockHz float64      `json:"clock_hz"`
-	Cycles  float64      `json:"cycles"`
-	Seconds float64      `json:"seconds"`
-	Metrics obs.Snapshot `json:"metrics"`
+	Kernel  string           `json:"kernel"`
+	Machine string           `json:"machine"`
+	Cores   int              `json:"cores"`
+	ClockHz float64          `json:"clock_hz"`
+	Cycles  float64          `json:"cycles"`
+	Seconds float64          `json:"seconds"`
+	Metrics obs.Snapshot     `json:"metrics"`
+	Profile *profile.Profile `json:"profile,omitempty"`
 }
 
 // exitConformFail is the pinned exit status for a failed -check pass, so
@@ -99,7 +115,7 @@ func main() {
 
 	var (
 		kernel  = flag.String("kernel", "ffbp-par", "ffbp-par, ffbp-seq, ffbp-intel, af-par, af-seq, af-intel")
-		cores   = flag.Int("cores", 16, "cores for ffbp-par")
+		cores   = flag.Int("cores", 16, "cores for ffbp-par (0 = all)")
 		mesh    = flag.String("mesh", "4x4", "Epiphany mesh size RxC")
 		small   = flag.Bool("small", false, "reduced workload")
 		perCore = flag.Bool("percore", false, "print per-core statistics")
@@ -110,6 +126,8 @@ func main() {
 		metricF = flag.String("metrics", "", "write a metrics-registry snapshot JSON file")
 		jsonOut = flag.Bool("json", false, "print a machine-readable summary instead of tables")
 		check   = flag.Bool("check", false, "run the conformance checker on the completed run (Epiphany kernels)")
+		profF   = flag.Bool("profile", false, "trace the run and print its profile: critical path, phase energy, roofline, heatmap (Epiphany kernels)")
+		htmlF   = flag.String("html", "", "write the profile as a self-contained HTML page; implies -profile")
 		faultsF = flag.String("faults", "", "fault plan file to inject (Epiphany kernels)")
 		watch   = flag.Bool("watch", false, "live per-core progress line on stderr (Epiphany kernels)")
 		heartD  = flag.Duration("heartbeat", 200*time.Millisecond, "flight-recorder sampling interval for -watch/-stallafter/-deadline")
@@ -123,6 +141,7 @@ func main() {
 	flag.Parse()
 	lg = logCfg.MustNew("epirun")
 	start := time.Now()
+	profiled := *profF || *htmlF != ""
 
 	// The run's request-domain trace: one root span covering the whole
 	// invocation, with the simulator's cycle-domain tracks spliced in
@@ -152,6 +171,9 @@ func main() {
 		}
 		if *faultsF != "" {
 			log.Fatal("-faults injects into the Epiphany model; it does not apply to the Intel reference kernels")
+		}
+		if profiled {
+			log.Fatal("-profile/-html analyze the Epiphany chip's trace; they do not apply to the Intel reference kernels")
 		}
 		if *watch || *stallD > 0 || *deadlD > 0 {
 			log.Fatal("-watch/-stallafter/-deadline sample the Epiphany chip's progress cells; they do not apply to the Intel reference kernels")
@@ -210,8 +232,11 @@ func main() {
 	}
 
 	ch := emu.New(cfg.Epiphany)
+	if *cores == 0 {
+		*cores = len(ch.Cores) // kernels.ParFFBP's "all cores"
+	}
 	var tracer *obs.Tracer
-	if *traceF != "" {
+	if *traceF != "" || profiled {
 		tracer = obs.NewTracer(cfg.Epiphany.Clock)
 		tracer.SetCapacity(*traceN)
 		ch.SetTracer(tracer)
@@ -223,8 +248,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(plan.Halts) > 0 && (*kernel == "ffbp-seq" || *kernel == "af-seq") {
-			log.Fatal("the plan halts cores, but sequential kernels run directly on core 0 and cannot remap; use a mapped kernel")
+		if len(plan.Halts)+len(plan.ChipHalts) > 0 && (*kernel == "ffbp-seq" || *kernel == "af-seq") {
+			log.Fatal("the plan halts cores or chips, but sequential kernels run directly on core 0 and cannot remap; use a mapped kernel")
 		}
 		inj, err := plan.Compile()
 		if err != nil {
@@ -321,6 +346,16 @@ func main() {
 		}
 		lg.Info("conformance check passed")
 	}
+	var prof *profile.Profile
+	if profiled {
+		var err error
+		if prof, err = profile.AnalyzeChip(ch); err != nil {
+			log.Fatal(err)
+		}
+		if *htmlF != "" {
+			writeFile(*htmlF, prof.WriteHTML)
+		}
+	}
 
 	writeTrace(*traceF, tracer)
 	// Metrics() builds the registry fresh each call, so publish the
@@ -371,7 +406,7 @@ func main() {
 			Machine: machine,
 			Cores:   used, ClockHz: cfg.Epiphany.Clock,
 			Cycles: ch.MaxCycles(), Seconds: ch.Time(),
-			Metrics: snap})
+			Metrics: snap, Profile: prof})
 		return
 	}
 
@@ -412,6 +447,26 @@ func main() {
 		fmt.Printf("  (image: %d x %d pixels, %d merge iterations)\n",
 			cfg.Params.NumPulses, cfg.Params.NumBins, log2(cfg.Params.NumPulses))
 	}
+	if prof != nil {
+		fmt.Printf("%s: ", *kernel)
+		if err := prof.WriteText(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// writeFile creates path and streams one exporter into it.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // writeTrace dumps the tracer to path as trace_event JSON; a no-op when
@@ -420,16 +475,7 @@ func writeTrace(path string, tr *obs.Tracer) {
 	if path == "" || tr == nil {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tr.WriteTraceEvent(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	writeFile(path, tr.WriteTraceEvent)
 	if n := tr.Dropped(); n > 0 {
 		lg.Warn("trace ring overflow", "dropped", n)
 	}
@@ -453,18 +499,8 @@ func sealRunTrace(e *telemetry.Entry, rt *obs.ReqTrace, root *obs.ReqSpan, sim *
 
 // writeMetrics dumps a snapshot to path as JSON; a no-op when path is "".
 func writeMetrics(path string, snap obs.Snapshot) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	if path != "" {
+		writeFile(path, snap.WriteJSON)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Sarlog queries the run ledger: the append-only, content-addressed
-// history of simulation runs that epirun, benchtab, sarsim, sarprof,
-// backproject and autofocus write under out/runs/.
+// history of simulation runs that epirun, benchtab, sarsim, backproject
+// and autofocus write under out/runs/.
 //
 // Usage:
 //

@@ -30,8 +30,8 @@
 //     and run-to-run determinism under the race detector.
 //
 // Run the suite via `make conform` (part of `make check`); the facade
-// exports Check as sarmany.CheckChip, and `epirun -check` / `sarprof
-// -check` run it after real FFBP and autofocus workloads.
+// exports Check as sarmany.CheckChip, and `epirun -check` runs it after
+// real FFBP and autofocus workloads.
 package conform
 
 import (

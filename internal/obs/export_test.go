@@ -187,49 +187,3 @@ func TestWriteTraceEventControlCharacters(t *testing.T) {
 		t.Errorf("output is HTML-escaped: %s", buf.String())
 	}
 }
-
-func TestWriteTimelineDroppedWarning(t *testing.T) {
-	tr := NewTracer(1e9)
-	tr.SetCapacity(2)
-	tk := tr.NewTrack(0, 1, "ring")
-	for i := 0; i < 5; i++ {
-		tk.Span(KindCompute, float64(i)*10, float64(i)*10+8)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTimeline(&buf, 20); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "(3 spans dropped)") {
-		t.Errorf("per-track drop note missing:\n%s", out)
-	}
-	if !strings.Contains(out, "WARNING: 3 spans dropped") {
-		t.Errorf("timeline warning footer missing:\n%s", out)
-	}
-
-	// No drops: no warning line.
-	buf.Reset()
-	if err := goldenTracer().WriteTimeline(&buf, 20); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "WARNING") {
-		t.Errorf("warning printed without drops:\n%s", buf.String())
-	}
-}
-
-func TestWriteTimeline(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenTracer().WriteTimeline(&buf, 40); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"core 0", "core 1", "phases", "cpu", "#", "b", "B", "3000 cycles"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("timeline missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // 4 tracks + legend
-		t.Errorf("%d timeline lines:\n%s", len(lines), out)
-	}
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -322,19 +321,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteCSV writes the snapshot as CSV with a header row. Histogram bucket
-// detail is elided; Count/Sum/Min/Max/Mean are kept.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "name,type,value,count,sum,min,max,mean"); err != nil {
-		return err
-	}
-	for _, m := range s {
-		if _, err := fmt.Fprintf(w, "%s,%s,%v,%d,%v,%v,%v,%v\n",
-			m.Name, m.Type, m.Value, m.Count, m.Sum, m.Min, m.Max, m.Mean); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -68,14 +67,6 @@ func TestSnapshotSortedAndEncodes(t *testing.T) {
 		t.Errorf("decoded %+v", back)
 	}
 
-	var cb bytes.Buffer
-	if err := s.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(cb.String()), "\n")
-	if len(lines) != 4 || !strings.HasPrefix(lines[0], "name,type,") {
-		t.Errorf("CSV output:\n%s", cb.String())
-	}
 }
 
 func TestSnapshotValue(t *testing.T) {

@@ -60,7 +60,7 @@ type htmlLink struct {
 
 func newHTMLView(p *Profile) htmlView {
 	v := htmlView{
-		Title: fmt.Sprintf("sarprof — epiphany %dx%d, %d cores, %.0f cycles (%.3f ms)",
+		Title: fmt.Sprintf("epirun -profile — epiphany %dx%d, %d cores, %.0f cycles (%.3f ms)",
 			p.Rows, p.Cols, p.Cores, p.RunCycles, p.Seconds*1e3),
 	}
 	if p.DroppedSpans > 0 {

@@ -10,8 +10,8 @@
 //
 // The analyzer is strictly read-only: it runs after Run has returned and
 // never changes modeled timing. Reports are exported as plain text
-// (WriteText) or a self-contained HTML page (WriteHTML); cmd/sarprof
-// wraps the package as a CLI.
+// (WriteText) or a self-contained HTML page (WriteHTML); epirun -profile
+// and -html run the analyzer on the run epirun reports.
 package profile
 
 import (

@@ -48,8 +48,8 @@ if [ -n "$missing" ] || [ -n "$cmd_missing" ]; then
 	exit 1
 fi
 
-# Exported-identifier coverage for the public surfaces: the serving
-# layer and the experiment table and envelope layer.
-go run ./scripts/checkexported internal/serve internal/bench
+# Exported-identifier coverage for the public surfaces: the facade, the
+# serving layer, and the experiment table and envelope layer.
+go run ./scripts/checkexported . internal/serve internal/bench
 
 echo "checkdocs: all packages and exported identifiers documented"
