@@ -5,12 +5,13 @@ GO ?= go
 all: check
 
 # check runs the full verification gate: formatting, static analysis,
-# build, package-doc coverage, the race-enabled test suite, the chaos
-# (fault-injection) suite, a fuzz smoke pass over the fault-plan parser,
-# the simulator conformance suite, the emu-coverage guard, the sweep,
-# profiler, job-server and fused-kernel throughput measurements, the
-# benchmark regression diff against the committed baselines, and the
-# sarserve end-to-end and request-tracing smoke tests.
+# build, package-doc coverage and the dead-export gate, the race-enabled
+# test suite, the chaos (fault-injection) suite, a fuzz smoke pass over
+# the fault-plan, traceparent and job-spec parsers, the simulator
+# conformance suite, the emu-coverage guard, the sweep, profiler,
+# job-server and fused-kernel throughput measurements, the benchmark
+# regression diff against the committed baselines, and the sarserve
+# end-to-end and request-tracing smoke tests.
 check: fmt vet build docscheck race chaos fuzzsmoke conform conformguard sweepbench profbench servebench kernelbench scalebench benchdiff servesmoke tracesmoke
 
 fmt:
@@ -42,12 +43,13 @@ chaos:
 		./internal/emu ./internal/kernels ./internal/conform \
 		./cmd/epirun
 
-# fuzzsmoke gives the fault-plan parser and the traceparent header
-# parser fuzzers a short budget each, on top of replaying their committed
-# corpora.
+# fuzzsmoke gives the fault-plan parser, the traceparent header parser
+# and the job-spec decode and checks a short fuzzing budget each, on top
+# of replaying their committed corpora.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 5s ./internal/serve
 
 # conform runs the simulator conformance harness under the race detector:
 # the invariant checker over real kernel runs, the analytic differential
@@ -152,7 +154,9 @@ baseline: sweepbench profbench servebench kernelbench scalebench
 	cp out/BENCH_scale.json BENCH_scale.json
 
 # docscheck fails when any package (cmd/ binaries included) lacks a doc
-# comment, or when the serving layer exports an undocumented identifier.
+# comment, when the serving layer exports an undocumented identifier, or
+# when an exported identifier under internal/ has no non-test caller and
+# no entry in scripts/checkdead/allow.txt.
 docscheck:
 	./scripts/checkdocs.sh
 

@@ -77,6 +77,7 @@ import (
 	"sarmany/internal/emu"
 	"sarmany/internal/energy"
 	"sarmany/internal/fault"
+	"sarmany/internal/ffbp"
 	"sarmany/internal/kernels"
 	"sarmany/internal/logx"
 	"sarmany/internal/obs"
@@ -444,8 +445,9 @@ func main() {
 		fmt.Printf("  modeled energy breakdown (avg %.2f W):\n%s", b.AveragePower(ch.Time()), b)
 	}
 	if strings.HasPrefix(*kernel, "ffbp") {
+		levels, _ := ffbp.Levels(cfg.Params.NumPulses, 2)
 		fmt.Printf("  (image: %d x %d pixels, %d merge iterations)\n",
-			cfg.Params.NumPulses, cfg.Params.NumBins, log2(cfg.Params.NumPulses))
+			cfg.Params.NumPulses, cfg.Params.NumBins, levels)
 	}
 	if prof != nil {
 		fmt.Printf("%s: ", *kernel)
@@ -559,13 +561,4 @@ func recordRun(dir string, e telemetry.Entry) {
 	if id != "" {
 		lg.Info(fmt.Sprintf("run %s recorded in %s", id, dir), "run_id", id, "trace_id", e.TraceID)
 	}
-}
-
-func log2(n int) int {
-	k := 0
-	for n > 1 {
-		n >>= 1
-		k++
-	}
-	return k
 }

@@ -305,7 +305,7 @@ func RunBases(ctx context.Context, cfg report.Config, bases []int) ([]BasePoint,
 	levels := make([]int, len(bases))
 	for i, k := range bases {
 		var ok bool
-		if levels[i], ok = mergeLevels(cfg.Params.NumPulses, k); !ok {
+		if levels[i], ok = ffbp.Levels(cfg.Params.NumPulses, k); !ok {
 			return nil, fmt.Errorf("bench: NumPulses %d is not a power of %d", cfg.Params.NumPulses, k)
 		}
 	}
@@ -333,19 +333,6 @@ func RunBases(ctx context.Context, cfg report.Config, bases []int) ([]BasePoint,
 		})
 	}
 	return out, nil
-}
-
-// mergeLevels returns how many base-k merges reduce n subapertures to
-// one, and false when n is not a power of k.
-func mergeLevels(n, k int) (int, bool) {
-	if n < 1 || k < 2 {
-		return 0, false
-	}
-	levels := 0
-	for ; n%k == 0; n /= k {
-		levels++
-	}
-	return levels, n == 1
 }
 
 func printBases(w io.Writer, points []BasePoint) {

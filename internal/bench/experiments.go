@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"sarmany/internal/ffbp"
 	"sarmany/internal/obs"
 	"sarmany/internal/report"
 )
@@ -102,7 +103,7 @@ var experiments = []Experiment{
 			// both at paper scale (1024), base 2 alone at 128 pulses.
 			var bases []int
 			for _, k := range []int{2, 4} {
-				if _, ok := mergeLevels(cfg.Params.NumPulses, k); ok {
+				if _, ok := ffbp.Levels(cfg.Params.NumPulses, k); ok {
 					bases = append(bases, k)
 				}
 			}

@@ -79,8 +79,8 @@ type KernelsResult struct {
 // parallelism.
 func RunKernels(ctx context.Context, cfg report.Config) (KernelsResult, error) {
 	var res KernelsResult
-	if n := cfg.Params.NumPulses; n&(n-1) != 0 {
-		return res, fmt.Errorf("bench: NumPulses %d is not a power of two (FFBP merge base 2)", n)
+	if _, ok := ffbp.Levels(cfg.Params.NumPulses, 2); !ok {
+		return res, fmt.Errorf("bench: NumPulses %d is not a power of two (FFBP merge base 2)", cfg.Params.NumPulses)
 	}
 	data := sar.Simulate(cfg.Params, cfg.Targets, nil)
 	sar.AddNoise(data, 0.05, 11) // dense scene: no zero-skip shortcut

@@ -389,6 +389,25 @@ func analyticCases() []analyticCase {
 		},
 	})
 
+	// On a 2x2 chip array, chips are numbered row-major: the core at
+	// global (4, 0) sits on chip 2 (second chip row, first column), so a
+	// stalling ext read there pays chip 2's channel, the only slow one.
+	quad := emu.E16G3().WithChips(2, 2)
+	quad.ExtBytesPerCycleByChip = []float64{0, 0, 0.5, 0}
+	cases = append(cases, analyticCase{
+		name: "ext-read-slow-chip-2x2", p: quad,
+		run: func(ch *emu.Chip) {
+			c := ch.Cores[ch.Topology().IDOf(emu.Coord{Row: 4, Col: 0})]
+			buf := bufc(ch.Ext(), extNB/8)
+			for i := 0; i < extK; i++ {
+				c.Load(buf.ElemAddr(0), extNB)
+			}
+		},
+		want: func(p emu.Params) float64 {
+			return extK * (p.ExtReadLatency + extNB/p.ExtBytesPerCycleByChip[2])
+		},
+	})
+
 	// Barrier skew on the chip array: no off-chip traffic, so the phase
 	// algebra is identical to the single-chip case at twice the width.
 	cases = append(cases, analyticCase{

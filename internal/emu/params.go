@@ -202,13 +202,6 @@ func (p Params) GridCols() int { return p.chipCols() * p.Cols }
 // NumCores returns the number of cores in the whole array.
 func (p Params) NumCores() int { return p.GridRows() * p.GridCols() }
 
-// ChipOf returns the chip (row-major over the chip array) hosting the
-// core with the given global ID.
-func (p Params) ChipOf(id int) int {
-	gr, gc := id/p.GridCols(), id%p.GridCols()
-	return (gr/p.Rows)*p.chipCols() + gc/p.Cols
-}
-
 // ExtBWOfChip returns the SDRAM-channel bandwidth of one chip: the
 // per-chip override when configured, ExtBytesPerCycle otherwise.
 func (p Params) ExtBWOfChip(chip int) float64 {

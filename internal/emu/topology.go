@@ -56,20 +56,6 @@ func (t Topology) IDOf(c Coord) int {
 	return c.Row*t.GridCols() + c.Col
 }
 
-// ChipOf returns the chip (row-major over the chip array) hosting a core.
-func (t Topology) ChipOf(id int) int {
-	c := t.CoordOf(id)
-	return (c.Row/t.p.Rows)*t.p.chipCols() + c.Col/t.p.Cols
-}
-
-// ChipCoord returns a chip's position in the chip array.
-func (t Topology) ChipCoord(chip int) Coord {
-	if chip < 0 || chip >= t.NumChips() {
-		panic(fmt.Sprintf("emu: chip %d outside the %dx%d array", chip, t.ChipRows(), t.ChipCols()))
-	}
-	return Coord{Row: chip / t.p.chipCols(), Col: chip % t.p.chipCols()}
-}
-
 // Dist returns the XY-route cost components between two cores: the
 // Manhattan hop count on the global grid and the number of chip
 // boundaries (eLink bridges) the dimension-ordered route crosses.

@@ -49,14 +49,16 @@ func TestArrayConstructorShapes(t *testing.T) {
 // 32x32 grid, chips are row-major over the chip array, and Dist counts
 // both mesh hops and eLink bridge crossings.
 func TestTopologyMapping(t *testing.T) {
-	tp := E1024().Topology()
+	ch := New(E1024())
+	tp := ch.Topology()
 	if tp.GridRows() != 32 || tp.GridCols() != 32 || tp.NumCores() != 1024 {
 		t.Fatalf("grid %dx%d / %d cores", tp.GridRows(), tp.GridCols(), tp.NumCores())
 	}
 	if tp.NumChips() != 4 || tp.ChipRows() != 2 || tp.ChipCols() != 2 {
 		t.Fatalf("chip array %dx%d / %d chips", tp.ChipRows(), tp.ChipCols(), tp.NumChips())
 	}
-	// Round trip and chip membership at the four chip corners.
+	// Round trip, and the chip each core is placed on, at the four chip
+	// corners.
 	for _, tc := range []struct {
 		coord Coord
 		id    int
@@ -74,12 +76,9 @@ func TestTopologyMapping(t *testing.T) {
 		if c := tp.CoordOf(tc.id); c != tc.coord {
 			t.Errorf("CoordOf(%d) = %v, want %v", tc.id, c, tc.coord)
 		}
-		if chip := tp.ChipOf(tc.id); chip != tc.chip {
-			t.Errorf("ChipOf(%d) = %d, want %d", tc.id, chip, tc.chip)
+		if chip := ch.Cores[tc.id].chipIdx; chip != tc.chip {
+			t.Errorf("core %d is on chip %d, want %d", tc.id, chip, tc.chip)
 		}
-	}
-	if c := tp.ChipCoord(2); c != (Coord{1, 0}) {
-		t.Errorf("ChipCoord(2) = %v, want {1 0}", c)
 	}
 	// Distances: hops on the global grid, bridges per chip boundary.
 	for _, tc := range []struct {
@@ -109,7 +108,6 @@ func TestTopologyMapping(t *testing.T) {
 	}
 	mustPanic("CoordOf(1024)", func() { tp.CoordOf(1024) })
 	mustPanic("IDOf(32,0)", func() { tp.IDOf(Coord{32, 0}) })
-	mustPanic("ChipCoord(4)", func() { tp.ChipCoord(4) })
 }
 
 // chippedAndMono build the same 2x4 global grid twice: once as a 1x2

@@ -49,15 +49,6 @@ func EfficiencyRatio(a, b Estimate) float64 {
 	return a.PerWatt() / pb
 }
 
-// Speedup returns b's execution time divided by a's: how many times
-// faster a is.
-func Speedup(a, b Estimate) float64 {
-	if a.Seconds == 0 {
-		return 0
-	}
-	return b.Seconds / a.Seconds
-}
-
 // String formats the estimate compactly.
 func (e Estimate) String() string {
 	return fmt.Sprintf("%.1f ms @ %.1f W = %.3f J (%.0f units/s, %.0f units/s/W)",

@@ -283,9 +283,6 @@ func MustCompile(p Plan) *Injector {
 	return inj
 }
 
-// Plan returns a copy of the source plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // Empty reports whether the injector changes nothing — the emulator's
 // bit-identical no-op case.
 func (inj *Injector) Empty() bool { return inj.plan.Empty() }
@@ -315,16 +312,6 @@ func (inj *Injector) Slowdown(core int) float64 {
 // ChipHalted reports whether the given chip of a multi-chip array is
 // hard-halted.
 func (inj *Injector) ChipHalted(chip int) bool { return inj.chipHalted[chip] }
-
-// HaltedChips returns the halted chip IDs in ascending order.
-func (inj *Injector) HaltedChips() []int {
-	out := make([]int, 0, len(inj.chipHalted))
-	for c := range inj.chipHalted {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // ChipSlowdown returns the chip's frequency-derating factor (1 when the
 // chip is not derated).

@@ -18,7 +18,7 @@ func TestEmptyPlanIsIdentity(t *testing.T) {
 	if !inj.Empty() {
 		t.Fatal("compiled empty plan should stay empty")
 	}
-	if inj.Halted(0) || len(inj.HaltedCores()) != 0 {
+	if inj.Halted(0) || len(inj.HaltedCores()) != 0 || inj.ChipHalted(0) {
 		t.Error("empty plan halts a core")
 	}
 	if s := inj.Slowdown(3); s != 1 {
@@ -120,7 +120,7 @@ func TestCompileFillsDefaults(t *testing.T) {
 }
 
 func TestHaltedCoresSorted(t *testing.T) {
-	inj := MustCompile(Plan{Halts: []int{9, 2, 5}})
+	inj := MustCompile(Plan{Halts: []int{9, 2, 5}, ChipHalts: []int{1}})
 	got := inj.HaltedCores()
 	want := []int{2, 5, 9}
 	if len(got) != len(want) {
@@ -133,6 +133,9 @@ func TestHaltedCoresSorted(t *testing.T) {
 	}
 	if !inj.Halted(5) || inj.Halted(3) {
 		t.Error("Halted() disagrees with the plan")
+	}
+	if !inj.ChipHalted(1) || inj.ChipHalted(0) {
+		t.Error("ChipHalted() disagrees with the plan")
 	}
 }
 

@@ -1,10 +1,7 @@
 package ffbp
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
+	"sarmany/internal/autofocus"
 	"sarmany/internal/geom"
 	"sarmany/internal/interp"
 	"sarmany/internal/mat"
@@ -22,94 +19,40 @@ import (
 // iterations".
 
 // MergeK performs one base-k merge, combining subaperture groups
-// (k*j .. k*j+k-1) into parents with k-fold angular resolution.
+// (k*j .. k*j+k-1) into parents with k-fold angular resolution. Base 2 is
+// exactly Merge; other bases run mergeBeamK.
 func MergeK(s *Stage, box geom.SceneBox, cfg Config, k int) (*Stage, error) {
 	if k == 2 {
 		return Merge(s, box, cfg)
 	}
-	if k < 2 || len(s.Images)%k != 0 {
-		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures with base %d", len(s.Images), k)
-	}
-	parents := geom.MergeStageK(s.Apertures, k)
-	ntheta := s.Grids[0].NTheta * k
-	nr := s.Grids[0].NR
-	out := &Stage{
-		Apertures: parents,
-		Grids:     make([]geom.PolarGrid, len(parents)),
-		Images:    make([]*mat.C, len(parents)),
-	}
-	for j, a := range parents {
-		out.Grids[j] = box.GridFor(a, ntheta, nr, s.Grids[0].R0, s.Grids[0].DR)
-		out.Images[j] = mat.NewC(ntheta, nr)
-	}
-	// Child centre offsets relative to the parent centre (same for every
-	// parent of the stage).
-	offsets := geom.ChildOffsets(k, s.Apertures[0].Length)
+	return merge(s, box, cfg, k, mergeBeamK)
+}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	total := len(parents) * ntheta
-	var wg sync.WaitGroup
-	for _, sl := range mat.Partition(total, workers) {
-		if sl.Len() == 0 {
-			continue
+// mergeBeamK computes beam bt of parent j of a base-k merge: every parent
+// pixel is re-expressed in each child's frame (geom.ShiftCoords), sampled
+// there with the interpolation kernel, and the k samples are summed.
+func mergeBeamK(s, out *Stage, k, j, bt int, kind interp.Kind, _ autofocus.Shift, _ []int32) {
+	pg := out.Grids[j]
+	theta := pg.Theta(bt)
+	row := out.Images[j].Row(bt)
+	// Child centre offsets relative to the parent centre.
+	offsets := geom.ChildOffsets(k, s.Apertures[k*j].Length)
+	for bi := range row {
+		r := pg.Range(bi)
+		var acc complex64
+		for i, off := range offsets {
+			rc, thc := geom.ShiftCoords(r, theta, off)
+			g := s.Grids[k*j+i]
+			acc += interp.At2(s.Images[k*j+i], g.ThetaIndex(thc), g.RangeIndex(rc), kind)
 		}
-		wg.Add(1)
-		go func(sl mat.Slice) {
-			defer wg.Done()
-			for gb := sl.Lo; gb < sl.Hi; gb++ {
-				j := gb / ntheta
-				bt := gb % ntheta
-				pg := out.Grids[j]
-				theta := pg.Theta(bt)
-				row := out.Images[j].Row(bt)
-				for bi := 0; bi < nr; bi++ {
-					r := pg.Range(bi)
-					var acc complex64
-					for i := 0; i < k; i++ {
-						rc, thc := geom.ShiftCoords(r, theta, offsets[i])
-						g := s.Grids[k*j+i]
-						acc += interp.At2(s.Images[k*j+i], g.ThetaIndex(thc), g.RangeIndex(rc), cfg.Interp)
-					}
-					row[bi] = acc
-				}
-			}
-		}(sl)
+		row[bi] = acc
 	}
-	wg.Wait()
-	return out, nil
 }
 
 // ImageK runs the complete base-k factorization. NumPulses must be a
-// power of k. ImageK(_, _, _, cfg, 2) matches Image except that the
-// single-threaded merge path is used.
+// power of k. ImageK(_, _, _, cfg, 2) is Image.
 func ImageK(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config, k int) (*mat.C, geom.PolarGrid, error) {
-	if k < 2 {
-		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: merge base %d < 2", k)
-	}
-	if !isPowerOf(p.NumPulses, k) {
-		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: NumPulses %d is not a power of %d", p.NumPulses, k)
-	}
-	s, err := InitialStage(data, p, box)
-	if err != nil {
-		return nil, geom.PolarGrid{}, err
-	}
-	for len(s.Images) > 1 {
-		if s, err = MergeK(s, box, cfg, k); err != nil {
-			return nil, geom.PolarGrid{}, err
-		}
-	}
-	return s.Images[0], s.Grids[0], nil
-}
-
-func isPowerOf(n, k int) bool {
-	if n < 1 {
-		return false
-	}
-	for n%k == 0 {
-		n /= k
-	}
-	return n == 1
+	return image(data, p, box, cfg, k, func(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
+		return MergeK(s, box, cfg, k)
+	})
 }

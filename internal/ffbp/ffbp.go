@@ -101,15 +101,22 @@ func InitialStage(data *mat.C, p sar.Params, box geom.SceneBox) (*Stage, error) 
 // (2j, 2j+1) into parents with doubled angular resolution. It runs the
 // fused beam kernel (mergeBeam); MergeRef runs the retained reference.
 func Merge(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
-	return merge(s, box, cfg, mergeBeam)
+	return merge(s, box, cfg, 2, mergeBeam)
 }
 
-// merge is the shared merge-iteration driver: grid/image setup and the
-// flattened (parent, beam) fan-out, parameterized by the beam kernel. Each
-// worker hands the kernel its own scratch of 2*NR tap offsets.
-func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, taps []int32)) (*Stage, error) {
-	if len(s.Images)%2 != 0 {
-		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures", len(s.Images))
+// beamKernel computes beam bt of parent j of out from the k children of s
+// it merges (k*j .. k*j+k-1). comp displaces the plus child's sampling
+// positions and taps is the calling worker's scratch of 2*NR tap offsets;
+// only the base-2 kernels use them.
+type beamKernel func(s, out *Stage, k, j, bt int, kind interp.Kind, comp autofocus.Shift, taps []int32)
+
+// merge is the one merge-iteration driver, for every base k: grid/image
+// setup and the flattened (parent, beam) fan-out, parameterized by the
+// beam kernel. Each worker hands the kernel its own scratch of 2*NR tap
+// offsets.
+func merge(s *Stage, box geom.SceneBox, cfg Config, k int, beam beamKernel) (*Stage, error) {
+	if k < 2 || len(s.Images)%k != 0 {
+		return nil, fmt.Errorf("ffbp: cannot merge %d subapertures with base %d", len(s.Images), k)
 	}
 	for i, img := range s.Images {
 		g := s.Grids[i]
@@ -122,8 +129,8 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parents := geom.MergeStage(s.Apertures)
-	ntheta := s.Grids[0].NTheta * 2
+	parents := geom.MergeStageK(s.Apertures, k)
+	ntheta := s.Grids[0].NTheta * k
 	nr := s.Grids[0].NR
 	out := &Stage{
 		Apertures: parents,
@@ -155,7 +162,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 				if cfg.comps != nil {
 					comp = cfg.comps[j]
 				}
-				beam(s, out, j, bt, cfg.Interp, comp, taps)
+				beam(s, out, k, j, bt, cfg.Interp, comp, taps)
 			}
 		}(sl)
 	}
@@ -177,7 +184,7 @@ func merge(s *Stage, box geom.SceneBox, cfg Config, beam func(s, out *Stage, j, 
 // plus a gather, eliminating the two interp.At2 calls per pixel. Every
 // retained operation (hypot, atan2, the index divisions, the rounding) is
 // exactly the reference's.
-func mergeBeam(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, taps []int32) {
+func mergeBeam(s, out *Stage, _, j, bt int, kind interp.Kind, comp autofocus.Shift, taps []int32) {
 	pg := out.Grids[j]
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]
@@ -267,7 +274,7 @@ func NearestTaps(pg, g0, g1 geom.PolarGrid, l, theta float64, comp autofocus.Shi
 // mergeBeamRef is the retained unfused reference for mergeBeam: per-pixel
 // geom.ChildCoords and interp.At2 calls, the literal transcription of
 // paper eq. 5. The fused path is pinned bit-identical to it.
-func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shift, _ []int32) {
+func mergeBeamRef(s, out *Stage, _, j, bt int, kind interp.Kind, comp autofocus.Shift, _ []int32) {
 	pg := out.Grids[j]
 	img0, img1 := s.Images[2*j], s.Images[2*j+1]
 	g0, g1 := s.Grids[2*j], s.Grids[2*j+1]
@@ -286,30 +293,32 @@ func mergeBeamRef(s, out *Stage, j, bt int, kind interp.Kind, comp autofocus.Shi
 // MergeRef is Merge running the retained unfused reference beam kernel
 // (mergeBeamRef); the equivalence suite pins Merge bit-identical to it.
 func MergeRef(s *Stage, box geom.SceneBox, cfg Config) (*Stage, error) {
-	return merge(s, box, cfg, mergeBeamRef)
+	return merge(s, box, cfg, 2, mergeBeamRef)
 }
 
 // Image runs the complete factorization: InitialStage followed by
-// log2(NumPulses) merges. It returns the final full-aperture image (rows =
-// beams, cols = range bins) and its polar grid, which is expressed relative
-// to the aperture centre (track position 0) — directly comparable to
-// gbp.Image on the same grid.
+// Levels(NumPulses, 2) merges. It returns the final full-aperture image
+// (rows = beams, cols = range bins) and its polar grid, which is expressed
+// relative to the aperture centre (track position 0) — directly
+// comparable to gbp.Image on the same grid.
 func Image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, geom.PolarGrid, error) {
-	return image(data, p, box, cfg, Merge)
+	return image(data, p, box, cfg, 2, Merge)
 }
 
 // ImageRef is Image running every merge through the retained reference
 // beam kernel (MergeRef). Image is pinned bit-identical to it; ImageRef
-// exists as the before side of the kernels benchmark and the oracle of
-// the equivalence suite.
+// is the whole-image oracle of the equivalence suite (the kernels
+// benchmark times MergeRef stage by stage).
 func ImageRef(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config) (*mat.C, geom.PolarGrid, error) {
-	return image(data, p, box, cfg, MergeRef)
+	return image(data, p, box, cfg, 2, MergeRef)
 }
 
-func image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config,
+// image is the one factorization loop: InitialStage, then base-k merges
+// through mergeFn until a single subaperture remains.
+func image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config, k int,
 	mergeFn func(*Stage, geom.SceneBox, Config) (*Stage, error)) (*mat.C, geom.PolarGrid, error) {
-	if p.NumPulses&(p.NumPulses-1) != 0 {
-		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: NumPulses %d is not a power of two (merge base 2)", p.NumPulses)
+	if _, ok := Levels(p.NumPulses, k); !ok {
+		return nil, geom.PolarGrid{}, fmt.Errorf("ffbp: NumPulses %d is not a power of the merge base %d", p.NumPulses, k)
 	}
 	s, err := InitialStage(data, p, box)
 	if err != nil {
@@ -324,14 +333,16 @@ func image(data *mat.C, p sar.Params, box geom.SceneBox, cfg Config,
 	return s.Images[0], s.Grids[0], nil
 }
 
-// NumIterations returns the number of merge iterations FFBP performs for
-// np pulses with merge base 2 (log2(np)); the paper's 1024-pulse data set
-// takes ten.
-func NumIterations(np int) int {
-	n := 0
-	for np > 1 {
-		np >>= 1
-		n++
+// Levels returns how many base-k merges reduce n subapertures to one, and
+// false when n is not a power of k (or n < 1, or k < 2). The paper's
+// 1024 pulses take ten merges with base 2.
+func Levels(n, k int) (int, bool) {
+	if n < 1 || k < 2 {
+		return 0, false
 	}
-	return n
+	levels := 0
+	for ; n%k == 0; n /= k {
+		levels++
+	}
+	return levels, n == 1
 }

@@ -43,10 +43,8 @@ type FocusConfig struct {
 // so their block correlations are less reliable; set FromLevel lower to
 // autofocus every late merge as the paper describes.
 func DefaultFocusConfig(np int) FocusConfig {
-	from := NumIterations(np) - 1
-	if from < 0 {
-		from = 0
-	}
+	levels, _ := Levels(np, 2)
+	from := max(levels-1, 0)
 	return FocusConfig{
 		Config:     Config{Interp: interp.Cubic},
 		FromLevel:  from,
@@ -179,7 +177,7 @@ func FocusedImage(data *mat.C, p sar.Params, box geom.SceneBox, fc FocusConfig) 
 	if fc.MaxShift <= 0 || fc.MaxShift > 1.5 {
 		return nil, geom.PolarGrid{}, nil, fmt.Errorf("ffbp: MaxShift %v outside (0, 1.5]", fc.MaxShift)
 	}
-	if p.NumPulses&(p.NumPulses-1) != 0 {
+	if _, ok := Levels(p.NumPulses, 2); !ok {
 		return nil, geom.PolarGrid{}, nil, fmt.Errorf("ffbp: NumPulses %d is not a power of two", p.NumPulses)
 	}
 	s, err := InitialStage(data, p, box)

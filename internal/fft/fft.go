@@ -58,9 +58,6 @@ func MustPlan(n int) *Plan {
 	return p
 }
 
-// N returns the transform length of the plan.
-func (p *Plan) N() int { return p.n }
-
 // Forward computes the in-place forward DFT of x. len(x) must equal the
 // plan length.
 func (p *Plan) Forward(x []complex64) {

@@ -118,15 +118,3 @@ func TestApplyWindow(t *testing.T) {
 	}()
 	ApplyWindow(x, []float64{1})
 }
-
-func TestCoherentGain(t *testing.T) {
-	if g := CoherentGain(Window(Rect, 64)); math.Abs(g-1) > 1e-12 {
-		t.Errorf("rect gain %v", g)
-	}
-	if g := CoherentGain(Window(Hann, 4096)); math.Abs(g-0.5) > 0.01 {
-		t.Errorf("hann gain %v, want ~0.5", g)
-	}
-	if CoherentGain(nil) != 0 {
-		t.Error("empty gain")
-	}
-}

@@ -96,27 +96,11 @@ func (g PolarGrid) RangeIndex(r float64) float64 { return (r - g.R0) / g.DR }
 // ThetaIndex returns the fractional bin index of angle theta.
 func (g PolarGrid) ThetaIndex(theta float64) float64 { return (theta - g.Theta0) / g.DTheta }
 
-// Refine returns the grid for the next merge stage: same range sampling,
-// twice the angular resolution over the same angular interval.
-func (g PolarGrid) Refine() PolarGrid {
-	lo := g.Theta0 - g.DTheta/2
-	hi := g.Theta0 + (float64(g.NTheta)-0.5)*g.DTheta
-	return NewPolarGrid(g.NR, g.R0, g.DR, g.NTheta*2, lo, hi)
-}
-
 // Aperture describes one subaperture of the factorization: its centre
 // position along the track (metres, in scene coordinates) and its length.
 type Aperture struct {
 	Center float64
 	Length float64
-}
-
-// Children returns the minus and plus child apertures of a.
-func (a Aperture) Children() (minus, plus Aperture) {
-	h := a.Length / 2
-	minus = Aperture{Center: a.Center - h/2, Length: h}
-	plus = Aperture{Center: a.Center + h/2, Length: h}
-	return minus, plus
 }
 
 // Stage0 returns the np length-d apertures of the initial factorization of
@@ -126,23 +110,6 @@ func Stage0(np int, u0, d float64) []Aperture {
 	out := make([]Aperture, np)
 	for i := range out {
 		out[i] = Aperture{Center: u0 + (float64(i)+0.5)*d, Length: d}
-	}
-	return out
-}
-
-// MergeStage returns the apertures of the next stage, pairing consecutive
-// apertures of the current stage. len(cur) must be even.
-func MergeStage(cur []Aperture) []Aperture {
-	if len(cur)%2 != 0 {
-		panic("geom: MergeStage needs an even number of apertures")
-	}
-	out := make([]Aperture, len(cur)/2)
-	for j := range out {
-		a, b := cur[2*j], cur[2*j+1]
-		out[j] = Aperture{
-			Center: (a.Center + b.Center) / 2,
-			Length: a.Length + b.Length,
-		}
 	}
 	return out
 }

@@ -97,36 +97,18 @@ func TestPolarGridMapping(t *testing.T) {
 	}
 }
 
-func TestPolarGridRefine(t *testing.T) {
-	g := NewPolarGrid(10, 0, 1, 1, 0, math.Pi)
-	g2 := g.Refine()
-	if g2.NTheta != 2 {
-		t.Fatalf("refined NTheta = %d", g2.NTheta)
-	}
-	// Refining preserves the covered angular interval.
-	lo := g2.Theta0 - g2.DTheta/2
-	hi := g2.Theta0 + (float64(g2.NTheta)-0.5)*g2.DTheta
-	if math.Abs(lo-0) > 1e-12 || math.Abs(hi-math.Pi) > 1e-12 {
-		t.Errorf("refined interval [%v, %v]", lo, hi)
-	}
-	// Ten refinements of a single beam give 1024 beams (the paper's config).
-	gg := g
-	for i := 0; i < 10; i++ {
-		gg = gg.Refine()
-	}
-	if gg.NTheta != 1024 {
-		t.Errorf("after 10 refinements NTheta = %d, want 1024", gg.NTheta)
-	}
-}
-
+// TestApertureChildren: the children of a merged aperture sit at
+// ChildOffsets from its centre, and merging them gives the aperture back.
 func TestApertureChildren(t *testing.T) {
 	a := Aperture{Center: 100, Length: 8}
-	minus, plus := a.Children()
+	off := ChildOffsets(2, a.Length/2)
+	minus := Aperture{Center: a.Center + off[0], Length: a.Length / 2}
+	plus := Aperture{Center: a.Center + off[1], Length: a.Length / 2}
 	if minus.Center != 98 || plus.Center != 102 {
 		t.Errorf("child centres %v %v", minus.Center, plus.Center)
 	}
-	if minus.Length != 4 || plus.Length != 4 {
-		t.Errorf("child lengths %v %v", minus.Length, plus.Length)
+	if p := MergeStageK([]Aperture{minus, plus}, 2)[0]; p != a {
+		t.Errorf("children merge to %+v, want %+v", p, a)
 	}
 }
 
@@ -140,7 +122,7 @@ func TestStage0AndMerge(t *testing.T) {
 	}
 	stage := aps
 	for len(stage) > 1 {
-		next := MergeStage(stage)
+		next := MergeStageK(stage, 2)
 		if len(next) != len(stage)/2 {
 			t.Fatalf("merge count %d from %d", len(next), len(stage))
 		}
@@ -152,24 +134,10 @@ func TestStage0AndMerge(t *testing.T) {
 			if math.Abs(p.Length-(m.Length+q.Length)) > 1e-12 {
 				t.Fatalf("parent length %v", p.Length)
 			}
-			// Consistency with Children: the parent's children are the inputs.
-			cm, cp := p.Children()
-			if math.Abs(cm.Center-m.Center) > 1e-12 || math.Abs(cp.Center-q.Center) > 1e-12 {
-				t.Fatalf("Children() disagrees with MergeStage inputs")
-			}
 		}
 		stage = next
 	}
 	if stage[0].Length != 16 || stage[0].Center != 8 {
 		t.Errorf("full aperture %+v", stage[0])
 	}
-}
-
-func TestMergeStageOddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	MergeStage(make([]Aperture, 3))
 }

@@ -10,7 +10,9 @@ import "math"
 //
 // Factorizations with merge bases above two (Ulander et al.'s general
 // formulation) need this form: a base-k merge combines k children whose
-// centres sit at offsets (i - (k-1)/2) * lChild for i = 0..k-1.
+// centres sit at offsets (i - (k-1)/2) * lChild for i = 0..k-1. Its only
+// production caller is ffbp.MergeK for k != 2; base-2 merges use the
+// hoisted geometry of ffbp.NearestTaps.
 func ShiftCoords(r, theta, offset float64) (rc, thetac float64) {
 	x := r * math.Cos(theta)
 	y := r * math.Sin(theta)

@@ -235,27 +235,3 @@ func At1Fused(v []complex64, x float64, k Kind, phi float32) complex64 {
 		real(s)*sn+imag(s)*cs,
 	)
 }
-
-// Path describes a straight sampling path through a matrix in fractional
-// index coordinates: sample j lies at (Row0 + j*DRow, Col0 + j*DCol). The
-// autofocus interpolation kernels are "swept along tilted paths in memory";
-// this is that tilted path.
-type Path struct {
-	Row0, Col0 float64
-	DRow, DCol float64
-	N          int
-}
-
-// SampleAlong interpolates img at the N positions of path p with kernel k,
-// appending into dst (allocating if dst is nil) and returning it.
-func SampleAlong(img *mat.C, p Path, k Kind, dst []complex64) []complex64 {
-	if dst == nil {
-		dst = make([]complex64, 0, p.N)
-	}
-	for j := 0; j < p.N; j++ {
-		ri := p.Row0 + float64(j)*p.DRow
-		ci := p.Col0 + float64(j)*p.DCol
-		dst = append(dst, At2(img, ri, ci, k))
-	}
-	return dst
-}

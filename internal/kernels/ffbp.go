@@ -31,7 +31,7 @@ func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error
 		return nil, fmt.Errorf("kernels: data is %dx%d, params say %dx%d",
 			data.Rows, data.Cols, p.NumPulses, p.NumBins)
 	}
-	if p.NumPulses&(p.NumPulses-1) != 0 {
+	if _, ok := ffbp.Levels(p.NumPulses, 2); !ok {
 		return nil, fmt.Errorf("kernels: NumPulses %d is not a power of two", p.NumPulses)
 	}
 	pl := &ffbpPlan{p: p, box: box, k: 4 * math.Pi / p.Wavelength}
@@ -47,7 +47,7 @@ func newFFBPPlan(p sar.Params, box geom.SceneBox, data *mat.C) (*ffbpPlan, error
 		if len(aps) == 1 {
 			break
 		}
-		aps = geom.MergeStage(aps)
+		aps = geom.MergeStageK(aps, 2)
 		ntheta *= 2
 	}
 	return pl, nil

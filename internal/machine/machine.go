@@ -155,14 +155,6 @@ func (b *Bump) Alloc(n int) (uint32, error) {
 	return a, nil
 }
 
-// Used returns the number of bytes allocated so far (including alignment
-// padding).
-func (b *Bump) Used() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return int(b.next - b.base)
-}
-
 // ErrOutOfMemory is returned when an allocation does not fit its region —
 // e.g. when a kernel tries to place more than 8 KB in one Epiphany local
 // memory bank.

@@ -42,12 +42,6 @@ func (m *C) Set(r, c int, v complex64) {
 	m.Data[r*m.Stride+c] = v
 }
 
-// Add accumulates v into the element at (r, c).
-func (m *C) Add(r, c int, v complex64) {
-	m.check(r, c)
-	m.Data[r*m.Stride+c] += v
-}
-
 func (m *C) check(r, c int) {
 	if r < 0 || r >= m.Rows || c < 0 || c >= m.Cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", r, c, m.Rows, m.Cols))
@@ -83,16 +77,6 @@ func (m *C) Clone() *C {
 		copy(out.Row(r), m.Row(r))
 	}
 	return out
-}
-
-// Zero sets every element of m (including through views) to zero.
-func (m *C) Zero() {
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for i := range row {
-			row[i] = 0
-		}
-	}
 }
 
 // Fill sets every element of m to v.
@@ -191,26 +175,6 @@ func (m *F) Row(r int) []float32 {
 		panic(fmt.Sprintf("mat: row %d out of range %d", r, m.Rows))
 	}
 	return m.Data[r*m.Stride : r*m.Stride+m.Cols]
-}
-
-// MinMax returns the minimum and maximum element of m. It panics on an
-// empty matrix.
-func (m *F) MinMax() (min, max float32) {
-	if m.Rows == 0 || m.Cols == 0 {
-		panic("mat: MinMax of empty matrix")
-	}
-	min, max = m.At(0, 0), m.At(0, 0)
-	for r := 0; r < m.Rows; r++ {
-		for _, v := range m.Row(r) {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return min, max
 }
 
 // Slice describes a contiguous band of rows [Lo, Hi) assigned to one

@@ -41,7 +41,6 @@ func TestEventRingNilSafe(t *testing.T) {
 		t.Error("nil ring not a no-op")
 	}
 	var tr *Tracer
-	tr.Eventf("z")
 	if tr.Events() != nil {
 		t.Error("nil tracer Events() != nil")
 	}
@@ -112,7 +111,7 @@ func TestEventRingConcurrentReaders(t *testing.T) {
 
 func TestTracerEventRing(t *testing.T) {
 	tr := NewTracer(1e9)
-	tr.Eventf("phase %d done", 3)
+	tr.Events().Addf("phase %d done", 3)
 	ev := tr.Events().Events()
 	if len(ev) != 1 || ev[0].Msg != "phase 3 done" {
 		t.Fatalf("tracer events = %+v", ev)

@@ -244,15 +244,6 @@ func (tr *Tracer) Events() *EventRing {
 	return tr.events
 }
 
-// Eventf records a formatted wall-clock event into the tracer's
-// flight-recorder ring. Safe on a nil tracer.
-func (tr *Tracer) Eventf(format string, args ...any) {
-	if tr == nil {
-		return
-	}
-	tr.events.Addf(format, args...)
-}
-
 // SetCapacity sets the span ring capacity of tracks created afterwards.
 func (tr *Tracer) SetCapacity(n int) {
 	if n < 1 {

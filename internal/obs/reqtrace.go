@@ -173,17 +173,6 @@ func (t *ReqTrace) TraceID() TraceID {
 	return t.id
 }
 
-// Dropped returns how many finished spans were discarded because the
-// trace hit its span capacity.
-func (t *ReqTrace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // StartSpan opens a root-level span (parented to the inbound remote
 // span, if any). Nil-safe: a nil trace returns a nil no-op span.
 func (t *ReqTrace) StartSpan(name string) *ReqSpan {
@@ -255,23 +244,6 @@ type ReqSpan struct {
 	mu    sync.Mutex
 	attrs map[string]string
 	ended bool
-}
-
-// Trace returns the owning trace (nil for a nil span).
-func (s *ReqSpan) Trace() *ReqTrace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
-// ID returns the span's identifier (zero for a nil span); combined
-// with the trace ID it forms the traceparent a downstream hop sees.
-func (s *ReqSpan) ID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.id
 }
 
 // Child opens a sub-span. Nil-safe: a nil parent returns nil.

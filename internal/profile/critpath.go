@@ -19,9 +19,6 @@ type PathSegment struct {
 	End   float64 `json:"end"`
 }
 
-// Duration returns the segment length in cycles.
-func (s PathSegment) Duration() float64 { return s.End - s.Start }
-
 // CriticalPath is the longest dependency chain through a run: a
 // chronological sequence of segments whose durations partition
 // [0, RunCycles] exactly, so the per-cause totals answer "what would I

@@ -154,24 +154,3 @@ func TestNormCorrShapeMismatchPanics(t *testing.T) {
 	}()
 	NormCorr(mat.NewF(2, 2), mat.NewF(2, 3))
 }
-
-func TestRMSDiff(t *testing.T) {
-	a := mat.NewF(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(1, 1, 0.5)
-	// Scaled copy has zero RMS difference after normalization.
-	b := mat.NewF(2, 2)
-	b.Set(0, 0, 4)
-	b.Set(1, 1, 2)
-	if d := RMSDiff(a, b); d > 1e-9 {
-		t.Errorf("scaled copy RMSDiff = %v", d)
-	}
-	c := mat.NewF(2, 2)
-	c.Set(0, 1, 1)
-	if d := RMSDiff(a, c); d <= 0 {
-		t.Errorf("different images RMSDiff = %v", d)
-	}
-	if d := RMSDiff(a, mat.NewF(2, 2)); !math.IsInf(d, 1) {
-		t.Errorf("zero image RMSDiff = %v", d)
-	}
-}

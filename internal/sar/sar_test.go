@@ -202,7 +202,7 @@ func TestSixTargetSceneInsideSwath(t *testing.T) {
 		t.Fatalf("scene has %d targets", len(ts))
 	}
 	for i, tg := range ts {
-		if tg.Y <= p.R0 || tg.Y >= p.MaxRange() {
+		if tg.Y <= p.R0 || tg.Y >= p.R0+float64(p.NumBins-1)*p.DR {
 			t.Errorf("target %d outside swath: Y=%v", i, tg.Y)
 		}
 		if math.Abs(tg.U) > p.ApertureLength()/2 {

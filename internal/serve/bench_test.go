@@ -134,7 +134,7 @@ func loadPoint(t *testing.T, run sweep.RunFunc, cacheDir string, rate float64, j
 
 	sorted := append([]float64(nil), latencies...)
 	sort.Float64s(sorted)
-	reg := s.Registry()
+	reg := s.reg
 	completed := int(reg.Counter("serve.jobs.completed").Value())
 	executed := int(reg.Counter("sweep.jobs.executed").Value())
 	pt := servePoint{

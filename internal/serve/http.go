@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -70,10 +71,8 @@ func (s *Server) Handler() http.Handler {
 // record — the synchronous mode load generators use to measure
 // end-to-end latency.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -107,6 +106,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, status, info)
+}
+
+// decodeSpec decodes a POST /v1/jobs body into a JobSpec: at most
+// maxSpecBytes are read (a longer body fails with *http.MaxBytesError,
+// and w, when non-nil, is told to close the connection), and unknown
+// fields are refused. Submit's checkSpec runs the checks that follow.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // traceContext establishes the submission's trace identity. An inbound

@@ -244,10 +244,6 @@ func NewServer(opt Options) *Server {
 	}
 }
 
-// Registry exposes the server's metric registry (the /metrics and
-// /debug/vars source).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool {
 	select {
@@ -284,10 +280,18 @@ func (s *Server) retryAfterHint() time.Duration {
 	return coldRetryAfter
 }
 
-// JobID computes a spec's content-addressed identifier without
-// submitting it: a 16-hex-character prefix of the sweep cache key over
-// the spec's experiment, configuration, tag and the server salt.
-func (s *Server) JobID(spec JobSpec) (string, sweep.Job, error) {
+// checkSpec runs the admission steps that touch no store or quota
+// state: the spec must name a known experiment and scale and carry labels
+// within maxLabelLen. It returns the spec's content-addressed job ID, a
+// 16-hex-character prefix of the sweep cache key over the experiment,
+// configuration, tag and the server salt, and the sweep job it names.
+func (s *Server) checkSpec(spec JobSpec) (string, sweep.Job, error) {
+	if !knownExp(spec.Exp) {
+		return "", sweep.Job{}, &SpecError{Msg: fmt.Sprintf("unknown experiment %q (want one of %v)", spec.Exp, bench.Keys())}
+	}
+	if err := spec.checkLabels(); err != nil {
+		return "", sweep.Job{}, err
+	}
 	cfg, err := spec.config()
 	if err != nil {
 		return "", sweep.Job{}, err
@@ -363,13 +367,7 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobInfo, error) {
 		s.m.rejDraining.Add(1)
 		return reject("draining", &DrainingError{})
 	}
-	if !knownExp(spec.Exp) {
-		return reject("spec", &SpecError{Msg: fmt.Sprintf("unknown experiment %q (want one of %v)", spec.Exp, bench.Keys())})
-	}
-	if err := spec.checkLabels(); err != nil {
-		return reject("spec", err)
-	}
-	id, job, err := s.JobID(spec)
+	id, job, err := s.checkSpec(spec)
 	if err != nil {
 		return reject("spec", err)
 	}

@@ -128,7 +128,7 @@ func TestServerIdempotentResubmit(t *testing.T) {
 	if execs.Load() != 1 {
 		t.Errorf("executions = %d, want 1 (single-flighted)", execs.Load())
 	}
-	if got := s.Registry().Counter("serve.jobs.deduplicated").Value(); got != 1 {
+	if got := s.reg.Counter("serve.jobs.deduplicated").Value(); got != 1 {
 		t.Errorf("deduplicated = %v, want 1", got)
 	}
 
@@ -184,7 +184,7 @@ func TestServerAdmissionErrors(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
 	}
-	if got := s.Registry().Counter("serve.jobs.rejected.queue").Value(); got != 1 {
+	if got := s.reg.Counter("serve.jobs.rejected.queue").Value(); got != 1 {
 		t.Errorf("rejected.queue = %v, want 1", got)
 	}
 
@@ -197,7 +197,7 @@ func TestServerAdmissionErrors(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("quota 429 without Retry-After header")
 	}
-	if got := s.Registry().Counter("serve.jobs.rejected.quota").Value(); got != 1 {
+	if got := s.reg.Counter("serve.jobs.rejected.quota").Value(); got != 1 {
 		t.Errorf("rejected.quota = %v, want 1", got)
 	}
 	// Another tenant still has its own budget (but hits the full queue,
@@ -581,7 +581,7 @@ func TestServerSharedCacheAcrossServers(t *testing.T) {
 	if !bytes.Equal(raw1, raw2) {
 		t.Error("cached envelope differs from fresh one")
 	}
-	if got := s2.Registry().Counter("serve.jobs.cachehits").Value(); got != 1 {
+	if got := s2.reg.Counter("serve.jobs.cachehits").Value(); got != 1 {
 		t.Errorf("second server cachehits = %v, want 1", got)
 	}
 }
@@ -635,7 +635,7 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	if want := fmt.Sprintf("exceeds %d bytes", maxSpecBytes); !strings.Contains(msg, want) {
 		t.Errorf("413 error %q does not say %q", msg, want)
 	}
-	if got := s.Registry().Counter("serve.jobs.accepted").Value(); got != 0 {
+	if got := s.reg.Counter("serve.jobs.accepted").Value(); got != 0 {
 		t.Errorf("accepted = %v after an oversized body, want 0", got)
 	}
 	if execs.Load() != 0 {

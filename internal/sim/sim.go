@@ -81,10 +81,6 @@ func (c *Chan[T]) Recv(now Time) (T, Time) {
 	return m.val, now
 }
 
-// TryLen returns the number of currently buffered messages (for tests and
-// statistics; the value is racy if producer or consumer are running).
-func (c *Chan[T]) TryLen() int { return len(c.data) }
-
 // Rendezvous is a reusable N-party barrier. The last goroutine to arrive
 // runs the resolution function (while all others wait) and then everyone
 // is released. It is the synchronization point at which the chip model
@@ -133,15 +129,4 @@ func (r *Rendezvous) Wait(resolve func()) {
 	for gen == r.gen {
 		r.cond.Wait()
 	}
-}
-
-// MaxTime returns the maximum of ts (0 for an empty slice).
-func MaxTime(ts []Time) Time {
-	var m Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

@@ -50,8 +50,8 @@ func TestChanFIFOOrder(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Send(Time(i), i, 1)
 	}
-	if c.TryLen() != 8 {
-		t.Fatalf("TryLen = %d", c.TryLen())
+	if len(c.data) != 8 {
+		t.Fatalf("buffered = %d", len(c.data))
 	}
 	now := Time(0)
 	for i := 0; i < 8; i++ {
@@ -169,13 +169,4 @@ func TestNewRendezvousInvalid(t *testing.T) {
 		}
 	}()
 	NewRendezvous(0)
-}
-
-func TestMaxTime(t *testing.T) {
-	if MaxTime(nil) != 0 {
-		t.Error("empty MaxTime not 0")
-	}
-	if MaxTime([]Time{3, 9, 2}) != 9 {
-		t.Error("MaxTime wrong")
-	}
 }

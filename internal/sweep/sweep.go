@@ -400,14 +400,3 @@ func runOne(ctx context.Context, res *JobResult, runner RunFunc, cache *diskCach
 		m.done.Add(1)
 	}
 }
-
-// Failed returns the results whose jobs failed.
-func Failed(results []JobResult) []JobResult {
-	var out []JobResult
-	for _, r := range results {
-		if r.Err != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}

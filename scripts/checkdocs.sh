@@ -4,7 +4,9 @@
 # cmd/ need a comment block directly above "package main" (the godoc
 # synopsis for the binary). Packages whose exported surface is a public
 # contract (internal/serve, internal/bench) additionally require a doc
-# comment on every exported identifier, via scripts/checkexported. Run via `make
+# comment on every exported identifier, via scripts/checkexported. Last,
+# scripts/checkdead fails on any exported identifier under internal/ that
+# no non-test code calls and its allowlist does not name. Run via `make
 # docscheck`; part of `make check`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -52,4 +54,9 @@ fi
 # serving layer, and the experiment table and envelope layer.
 go run ./scripts/checkexported . internal/serve internal/bench
 
-echo "checkdocs: all packages and exported identifiers documented"
+# Dead exports: every exported identifier under internal/ needs a non-test
+# caller (perfbench counts) or an allowlist entry naming the test that
+# uses it.
+go run ./scripts/checkdead
+
+echo "checkdocs: all packages and exported identifiers documented, no dead exports"
