@@ -30,8 +30,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench runs the paper-experiment benchmarks of the root package and the
+# per-access micro-benchmarks of the two machine models (the i7 cache
+# walk and the Epiphany off-chip path).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/refcpu ./internal/emu
 
 # chaos runs the fault-injection suite under the race detector: the
 # deterministic injector unit tests, the golden chaos kernel runs with

@@ -408,6 +408,23 @@ func analyticCases() []analyticCase {
 		},
 	})
 
+	// Inter-core DMA diagonally across a 2x2 chip array: (0,0)->(4,4) is
+	// 8 hops and crosses both a chip-row and a chip-column boundary, so
+	// the descriptor pays two eLink round trips.
+	cases = append(cases, analyticCase{
+		name: "dma-intercore-2x2-diagonal", p: quad,
+		run: func(ch *emu.Chip) {
+			c := ch.Cores[0]
+			far := bufc(ch.Cores[ch.Topology().IDOf(emu.Coord{Row: 4, Col: 4})].Bank(0), icElems)
+			local := bufc(c.Bank(2), icElems)
+			c.DMAWait(c.DMACopyC(far, 0, local, 0, icElems))
+		},
+		want: func(p emu.Params) float64 {
+			return p.DMASetupCycles + p.RemoteReadBase + 2*8*p.RemoteHopCycles +
+				2*2*p.ELinkHopCycles + 8*icElems/p.DMABytesPerCycle
+		},
+	})
+
 	// Barrier skew on the chip array: no off-chip traffic, so the phase
 	// algebra is identical to the single-chip case at twice the width.
 	cases = append(cases, analyticCase{

@@ -395,3 +395,22 @@ func TestTimeSeconds(t *testing.T) {
 		t.Errorf("Time = %v, want 1 µs", got)
 	}
 }
+
+// benchSink keeps the benchmarked cycle count observable.
+var benchSink float64
+
+// BenchmarkCoreExtLoadStore charges one 8-byte external load and one
+// 8-byte posted external store per iteration on a single core: the
+// off-chip path every Epiphany FFBP merge takes per pixel.
+func BenchmarkCoreExtLoadStore(b *testing.B) {
+	c := New(E16G3()).Cores[0]
+	const span = 1 << 16 // bytes of external memory walked
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := ExtBase + uint32(i*8)%span
+		c.Load(a, 8)
+		c.Store(a+span, 8)
+	}
+	benchSink = c.Cycles()
+}

@@ -163,9 +163,11 @@ func (ch *Chip) RemapPlacement(placement []int) ([]int, error) {
 
 // extBW returns the effective off-chip channel bandwidth in bytes per
 // cycle for this core's chip: the configured per-chip figure, scaled
-// down when a fault plan degrades the SDRAM channel. The fault-free path
-// is untouched arithmetic — the scale is only applied when it differs
-// from 1.
+// down when a fault plan degrades the SDRAM channel. It runs on every
+// external access and reads both through the chip, Params by pointer, so
+// nothing is cached: a plan SetFaults attaches or detaches after New
+// applies from the next access. The fault-free path is untouched
+// arithmetic — the scale is only applied when it differs from 1.
 func (c *Core) extBW() float64 {
 	bw := c.chip.P.ExtBWOfChip(c.chipIdx)
 	if f := c.chip.faults; f != nil {

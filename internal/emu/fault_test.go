@@ -328,3 +328,31 @@ func TestRemapPlacementStaysInjective(t *testing.T) {
 		t.Errorf("%d remaps recorded, want 1", n)
 	}
 }
+
+// TestExtScaleFollowsSetFaults attaches and detaches an SDRAM derate on a
+// chip whose core has already used the channel: every external read is
+// priced at the plan attached when it issues, never at one seen earlier.
+func TestExtScaleFollowsSetFaults(t *testing.T) {
+	ch := New(E16G3())
+	c := ch.Cores[0]
+	ext, err := machine.NewBufC(ch.Ext(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() float64 {
+		before := c.Cycles()
+		_ = ext.Load(c, 0)
+		ch.Settle()
+		return c.Cycles() - before
+	}
+	healthy := read()
+	ch.SetFaults(fault.MustCompile(fault.Plan{ExtScale: 0.5}))
+	// One 8-byte read at half the 1 B/cycle channel: 8 more service cycles.
+	if got, want := read(), healthy+8; got != want {
+		t.Errorf("read after attaching the derate = %v cycles, want %v", got, want)
+	}
+	ch.SetFaults(nil)
+	if got := read(); got != healthy {
+		t.Errorf("read after detaching the derate = %v cycles, want %v", got, healthy)
+	}
+}

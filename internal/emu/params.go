@@ -17,6 +17,10 @@ package emu
 // E16G3 derive from the Epiphany E16G3 datasheet and the architecture
 // description in the paper (Sec. III), not from the paper's results table;
 // see DESIGN.md for the calibration policy.
+//
+// Methods reached from the per-access charging paths (external and
+// remote loads and stores, DMAs) take a pointer receiver: a value
+// receiver copies the whole struct on every call.
 type Params struct {
 	// Rows, Cols give the per-chip core mesh dimensions (4x4 for the
 	// E16G3). With ChipRows/ChipCols > 1 every chip has this shape and the
@@ -176,14 +180,14 @@ func (p Params) WithChips(cr, cc int) Params {
 
 // chipRows and chipCols normalize the array dimensions: zero (the
 // single-chip zero value) reads as 1.
-func (p Params) chipRows() int {
+func (p *Params) chipRows() int {
 	if p.ChipRows < 1 {
 		return 1
 	}
 	return p.ChipRows
 }
 
-func (p Params) chipCols() int {
+func (p *Params) chipCols() int {
 	if p.ChipCols < 1 {
 		return 1
 	}
@@ -192,19 +196,19 @@ func (p Params) chipCols() int {
 
 // NumChips returns the number of chips in the array (1 for a single
 // chip).
-func (p Params) NumChips() int { return p.chipRows() * p.chipCols() }
+func (p *Params) NumChips() int { return p.chipRows() * p.chipCols() }
 
 // GridRows and GridCols give the global core-grid dimensions across the
 // whole array; on a single chip they equal Rows and Cols.
-func (p Params) GridRows() int { return p.chipRows() * p.Rows }
-func (p Params) GridCols() int { return p.chipCols() * p.Cols }
+func (p *Params) GridRows() int { return p.chipRows() * p.Rows }
+func (p *Params) GridCols() int { return p.chipCols() * p.Cols }
 
 // NumCores returns the number of cores in the whole array.
 func (p Params) NumCores() int { return p.GridRows() * p.GridCols() }
 
 // ExtBWOfChip returns the SDRAM-channel bandwidth of one chip: the
 // per-chip override when configured, ExtBytesPerCycle otherwise.
-func (p Params) ExtBWOfChip(chip int) float64 {
+func (p *Params) ExtBWOfChip(chip int) float64 {
 	if chip >= 0 && chip < len(p.ExtBytesPerCycleByChip) {
 		if bw := p.ExtBytesPerCycleByChip[chip]; bw > 0 {
 			return bw
@@ -245,7 +249,7 @@ const (
 // previously-valid topology keeps its exact historical addresses; grids
 // too large for the classic placement relocate to origin (0, 0). ok is
 // false when no collision-free placement exists.
-func (p Params) meshOrigin() (row, col int, ok bool) {
+func (p *Params) meshOrigin() (row, col int, ok bool) {
 	r, c := p.GridRows(), p.GridCols()
 	fits := func(or, oc int) bool {
 		if or+r > 64 || oc+c > 64 {
@@ -275,7 +279,7 @@ func (p Params) coreBase(row, col int) uint32 {
 
 // tileOf returns the global grid coordinates encoded in a core-mapped
 // address (not validated against the configured grid).
-func (p Params) tileOf(addr uint32) (row, col int) {
+func (p *Params) tileOf(addr uint32) (row, col int) {
 	or, oc, _ := p.meshOrigin()
 	id := addr >> 20
 	return int(id>>6) - or, int(id&0x3f) - oc
@@ -285,7 +289,7 @@ func (p Params) tileOf(addr uint32) (row, col int) {
 // core-mapped addresses: the Manhattan hop count on the global grid and
 // the number of chip boundaries (eLink bridges) the route crosses. Both
 // addresses must be core-mapped (not external).
-func (p Params) dist(a, b uint32) (hops, bridges int) {
+func (p *Params) dist(a, b uint32) (hops, bridges int) {
 	ar, ac := p.tileOf(a)
 	br, bc := p.tileOf(b)
 	return abs(ar-br) + abs(ac-bc), p.bridgesBetween(ar, ac, br, bc)
@@ -295,7 +299,7 @@ func (p Params) dist(a, b uint32) (hops, bridges int) {
 // global grid positions crosses: the Manhattan distance between the two
 // chip coordinates (a dimension-ordered route crosses each boundary
 // exactly once per chip-row and chip-column of separation).
-func (p Params) bridgesBetween(ar, ac, br, bc int) int {
+func (p *Params) bridgesBetween(ar, ac, br, bc int) int {
 	if p.NumChips() == 1 {
 		return 0
 	}

@@ -12,15 +12,20 @@ type CacheParams struct {
 // cache is a set-associative LRU cache over physical line addresses.
 type cache struct {
 	p        CacheParams
-	sets     int
 	lineBits uint
 	setMask  uint64
-	tags     []uint64 // sets*ways entries
-	age      []uint64 // LRU stamps
-	valid    []bool
+	ways     []way   // sets*p.Ways entries, set-major
+	mru      []int32 // per set: index into ways of its most recent way
 	clock    uint64
 
 	Hits, Misses uint64
+}
+
+// way is one cache line slot: the line number it holds and the clock
+// stamp of its last use. Stamps start at 1, so age 0 marks an invalid
+// (never filled) way.
+type way struct {
+	tag, age uint64
 }
 
 func newCache(p CacheParams) *cache {
@@ -39,49 +44,63 @@ func newCache(p CacheParams) *cache {
 	if 1<<lb != p.LineBytes {
 		panic("refcpu: line size must be a power of two")
 	}
+	mru := make([]int32, sets)
+	for s := range mru {
+		mru[s] = int32(s * p.Ways)
+	}
 	return &cache{
 		p:        p,
-		sets:     sets,
 		lineBits: lb,
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, sets*p.Ways),
-		age:      make([]uint64, sets*p.Ways),
-		valid:    make([]bool, sets*p.Ways),
+		ways:     make([]way, sets*p.Ways),
+		mru:      mru,
 	}
 }
 
-// access looks up the line containing addr, filling it on a miss (LRU
-// victim). It reports whether the access hit.
+// access looks up the line containing addr, filling it on a miss, and
+// reports whether the access hit. A line occupies at most one way of its
+// set (lines are filled only on a miss), so the set's most recent way is
+// checked first and a hit there skips the scan without changing the
+// outcome. On a miss the victim is the set's last invalid way, else its
+// least recently used one.
 func (c *cache) access(addr uint64) bool {
 	c.clock++
 	line := addr >> c.lineBits
 	set := int(line & c.setMask)
+	if w := &c.ways[c.mru[set]]; w.age != 0 && w.tag == line {
+		w.age = c.clock
+		c.Hits++
+		return true
+	}
 	base := set * c.p.Ways
-	victim := base
-	oldest := c.age[base]
-	for w := 0; w < c.p.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.age[i] = c.clock
+	ws := c.ways[base : base+c.p.Ways]
+	victim := 0
+	oldest := ws[0].age
+	for i := range ws {
+		w := &ws[i]
+		if w.age != 0 && w.tag == line {
+			w.age = c.clock
+			c.mru[set] = int32(base + i)
 			c.Hits++
 			return true
 		}
-		if !c.valid[i] {
+		// Live stamps are unique, so <= picks the least recent live way
+		// and, once an invalid way (age 0) is seen, the last invalid one.
+		if w.age <= oldest {
 			victim = i
-			oldest = 0
-		} else if c.age[i] < oldest {
-			victim = i
-			oldest = c.age[i]
+			oldest = w.age
 		}
 	}
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.age[victim] = c.clock
+	ws[victim] = way{tag: line, age: c.clock}
+	c.mru[set] = int32(base + victim)
 	c.Misses++
 	return false
 }
 
-// Hierarchy is a three-level inclusive cache hierarchy in front of DRAM.
+// Hierarchy is three levels of cache in front of DRAM. An access probes
+// L1, L2 and L3 in turn and stops at the first hit; each level it missed
+// in fills the line. Every level evicts on its own: an L3 eviction never
+// invalidates the line in L1 or L2, so the hierarchy is not inclusive.
 type Hierarchy struct {
 	L1, L2, L3 *cache
 }
